@@ -12,10 +12,40 @@
 //! LSH are *verified* with the exact Jaccard score, so the threshold
 //! semantics match the naive algorithm (up to MinHash recall, covered by
 //! the banding parameters and tested against brute force below).
+//!
+//! # Where the time goes
+//!
+//! Shingling and MinHash signatures are per-sample and run in parallel.
+//! The cost is the cross-sample join in `lsh_sweep`, which is sequential
+//! because earliest-representative-wins makes every verdict depend on the
+//! ones before it. Scraped pools are dominated by byte-identical copies (one
+//! popular file can appear hundreds of times), and every copy of a file
+//! shares every LSH bucket with every other copy, so a naive join spends
+//! most of its time re-verifying pairs whose outcome is already known.
+//! The join therefore works on sorted shingle slices (a merge-intersection
+//! per verified pair, no hashing) and removes two kinds of work whose
+//! outcome is fixed in advance, without changing any verdict:
+//!
+//! * **Exact copies are collapsed before banding** (thresholds `<= 1.0`
+//!   only, which also excludes NaN). Let `b` have the same shingle set
+//!   as an earlier sample `a`. If `a` is alive when `(a, b)` is swept,
+//!   `J(a, b) = 1 >= threshold` kills `b`. Otherwise `a` was killed by
+//!   some `x < a` through `(x, a)`; then `J(x, b) = J(x, a)`, and `(x, b)`
+//!   is a candidate because `b`'s signature equals `a`'s, so it lands in
+//!   every bucket `a` does. `(x, b)` is swept after `(x, a)` and `x`
+//!   cannot die in between (only a pair `(w, x)` with `w < x` kills `x`,
+//!   and those all precede row `x`), so `(x, b)` kills `b`. Either way
+//!   `b` dies, and it dies in a row before its own, so it never kills
+//!   anything. Dropping `b` up front leaves every other verdict as it was.
+//! * **Pairs whose sizes alone rule them out are skipped.** `J(a, b) <=
+//!   min(|a|, |b|) / max(|a|, |b|)` because the intersection is at most
+//!   the smaller set and the union at least the larger; correctly rounded
+//!   f64 division is monotone, so when the size ratio is already below
+//!   the threshold the exact score would be too.
 
 use pyranet_corpus::RawSample;
 use pyranet_exec::{par_map, ExecConfig};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 /// Number of MinHash permutations.
@@ -23,7 +53,8 @@ pub(crate) const NUM_HASHES: usize = 64;
 /// LSH bands (NUM_HASHES / BANDS rows per band).
 pub(crate) const BANDS: usize = 16;
 
-/// Tokenizes a source into the shingle set used for Jaccard similarity.
+/// Tokenizes a source into the shingle set used for Jaccard similarity,
+/// returned sorted ascending and free of duplicates.
 ///
 /// Tokens are word-level (identifiers, numbers, operators collapse to
 /// single chars); 3-gram shingles make the measure order-sensitive enough
@@ -35,7 +66,7 @@ pub(crate) const BANDS: usize = 16;
 /// non-char-boundary index, taking the whole pipeline down with it. For
 /// pure-ASCII sources the token stream is byte-identical to the old one,
 /// so existing dedup outcomes (and the export digest pins) are unchanged.
-pub fn shingles(source: &str) -> HashSet<u64> {
+pub fn shingles(source: &str) -> Vec<u64> {
     let mut tokens: Vec<&str> = Vec::new();
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '$';
     let mut chars = source.char_indices().peekable();
@@ -54,35 +85,44 @@ pub fn shingles(source: &str) -> HashSet<u64> {
             tokens.push(&source[start..start + c.len_utf8()]);
         }
     }
-    let mut set = HashSet::with_capacity(tokens.len());
-    for w in tokens.windows(3) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        w.hash(&mut h);
-        set.insert(h.finish());
-    }
-    if set.is_empty() && !tokens.is_empty() {
+    let mut set: Vec<u64> = tokens.windows(3).map(hash_of).collect();
+    if set.is_empty() {
         // very short files: fall back to single-token shingles
-        for t in tokens {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            t.hash(&mut h);
-            set.insert(h.finish());
-        }
+        set = tokens.iter().map(hash_of).collect();
     }
+    set.sort_unstable();
+    set.dedup();
     set
 }
 
-/// Exact Jaccard similarity between two shingle sets.
-pub fn jaccard(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
+/// The SipHash value (`DefaultHasher`) behind every shingle and band key.
+fn hash_of<T: Hash + ?Sized>(t: &T) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// Whether `set` is a valid shingle set: strictly ascending, the shape
+/// [`shingles`] returns and [`jaccard`] requires.
+pub(crate) fn is_shingle_set(set: &[u64]) -> bool {
+    set.windows(2).all(|w| w[0] < w[1])
+}
+
+/// Exact Jaccard similarity between two shingle sets (sorted, duplicate
+/// free, as [`shingles`] returns them).
+pub fn jaccard(a: &[u64], b: &[u64]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let inter = a.intersection(b).count();
-    let union = a.len() + b.len() - inter;
-    if union == 0 {
-        1.0
-    } else {
-        inter as f64 / union as f64
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        inter += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    let union = a.len() + b.len() - inter;
+    inter as f64 / union as f64
 }
 
 /// Splitmix-style hash mixing for the MinHash permutations.
@@ -94,7 +134,7 @@ fn mix(mut x: u64, seed: u64) -> u64 {
 }
 
 /// MinHash signature of a shingle set.
-pub fn minhash(shingles: &HashSet<u64>) -> [u64; NUM_HASHES] {
+pub fn minhash(shingles: &[u64]) -> [u64; NUM_HASHES] {
     let mut sig = [u64::MAX; NUM_HASHES];
     for &s in shingles {
         for (k, slot) in sig.iter_mut().enumerate() {
@@ -116,70 +156,107 @@ pub fn dedup(pool: Vec<RawSample>, threshold: f64) -> Vec<RawSample> {
 
 /// [`dedup`] with an explicit executor configuration.
 ///
-/// Shingling and MinHash signature computation — the dominant cost — are
-/// per-sample pure functions and run through [`par_map`]; the LSH banding
-/// and verification sweep stays sequential, preserving the
-/// earliest-representative-wins semantics exactly. The survivor set is
-/// therefore identical at any thread count.
+/// Shingling and MinHash signature computation are per-sample pure
+/// functions and run through [`par_map`]; the LSH join stays sequential,
+/// preserving the earliest-representative-wins semantics exactly. The
+/// survivor set is therefore identical at any thread count.
 pub fn dedup_with(pool: Vec<RawSample>, threshold: f64, exec: &ExecConfig) -> Vec<RawSample> {
     let sources: Vec<&str> = pool.iter().map(|s| s.source.as_str()).collect();
-    let per_sample: Vec<(HashSet<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, |src| {
+    let per_sample: Vec<(Vec<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, |src| {
         let set = shingles(src);
         let sig = minhash(&set);
         (set, sig)
     });
-    let (sets, sigs): (Vec<HashSet<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
+    let (sets, sigs): (Vec<Vec<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
     let dead = lsh_sweep(&sets, &sigs, threshold);
     pool.into_iter().zip(dead).filter(|(_, d)| !*d).map(|(s, _)| s).collect()
 }
 
-/// The cross-sample LSH join: bands the signatures, verifies candidate
-/// pairs with exact Jaccard, and returns which samples die. Shared by the
-/// direct path above and the incremental path (which feeds it cached
-/// signatures) — a sample's duplicate verdict depends on every *other*
-/// sample, so this sweep re-runs on every build regardless of caching.
+/// The cross-sample LSH join: collapses exact copies, bands the remaining
+/// signatures, verifies candidate pairs with exact Jaccard, and returns
+/// which samples die. Shared by the direct path above and the incremental
+/// path (which feeds it cached signatures) — a sample's duplicate verdict
+/// depends on every *other* sample, so this sweep re-runs on every build
+/// regardless of caching. `sets` must hold sorted, duplicate-free shingle
+/// sets. See the module docs for why the collapse and the size-bound
+/// skip leave every verdict unchanged.
 pub(crate) fn lsh_sweep(
-    sets: &[HashSet<u64>],
+    sets: &[Vec<u64>],
     sigs: &[[u64; NUM_HASHES]],
     threshold: f64,
 ) -> Vec<bool> {
-    // Collect every banding candidate pair, then verify them in ascending
-    // (i, j) order — the exact sweep order of the naive algorithm. Bucket
-    // iteration order (a per-process `HashMap` artifact) therefore cannot
-    // influence which member of a duplicate chain survives.
-    let rows = NUM_HASHES / BANDS;
-    let mut candidates: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for band in 0..BANDS {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, sig) in sigs.iter().enumerate() {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            sig[band * rows..(band + 1) * rows].hash(&mut h);
-            buckets.entry(h.finish()).or_default().push(i);
-        }
-        for bucket in buckets.values() {
-            for (bi, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[bi + 1..] {
-                    candidates.insert((i, j));
-                }
+    let obs = pyranet_obs::global();
+    let (candidates_counter, verified_counter, copies_counter) = (
+        obs.counter("pipeline.dedup.candidates"),
+        obs.counter("pipeline.dedup.verified"),
+        obs.counter("pipeline.dedup.exact_copies"),
+    );
+    let mut dead = vec![false; sets.len()];
+
+    // Exact copies: every sample whose set equals an earlier one's dies.
+    let mut exact_copies = 0;
+    if threshold <= 1.0 {
+        let mut seen: HashSet<&[u64]> = HashSet::with_capacity(sets.len());
+        for (i, set) in sets.iter().enumerate() {
+            if !seen.insert(set) {
+                dead[i] = true;
+                exact_copies += 1;
             }
         }
     }
-    let mut dead = vec![false; sets.len()];
-    for (i, j) in candidates {
+
+    // Banding: per band, sort (band key, index) so each bucket is a run,
+    // and emit every pair within a run. The global sort + dedup puts the
+    // pairs in ascending (i, j) order — the exact sweep order of the
+    // naive algorithm.
+    let rows = NUM_HASHES / BANDS;
+    let n = u32::try_from(sigs.len()).expect("the LSH join indexes samples with u32");
+    let mut keyed: Vec<(u64, u32)> = Vec::with_capacity(sets.len());
+    let mut candidates: Vec<(u32, u32)> = Vec::new();
+    for band in 0..BANDS {
+        keyed.clear();
+        keyed.extend(
+            (0..n)
+                .filter(|&i| !dead[i as usize])
+                .map(|i| (hash_of(&sigs[i as usize][band * rows..(band + 1) * rows]), i)),
+        );
+        keyed.sort_unstable();
+        for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+            for (bi, &(_, i)) in run.iter().enumerate() {
+                candidates.extend(run[bi + 1..].iter().map(|&(_, j)| (i, j)));
+            }
+        }
+    }
+    candidates.sort_unstable();
+    candidates.dedup();
+
+    let mut verified = 0;
+    for &(i, j) in &candidates {
+        let (i, j) = (i as usize, j as usize);
         if dead[i] || dead[j] {
             continue;
         }
+        let (a, b) = (sets[i].len(), sets[j].len());
+        let (lo, hi) = (a.min(b), a.max(b));
+        if hi > 0 && (lo as f64 / hi as f64) < threshold {
+            continue;
+        }
+        verified += 1;
         if jaccard(&sets[i], &sets[j]) >= threshold {
             dead[j] = true;
         }
     }
+
+    candidates_counter.add(candidates.len() as u64);
+    verified_counter.add(verified);
+    copies_counter.add(exact_copies);
     dead
 }
 
-/// Reference O(n²) implementation used to validate the LSH path in tests
-/// and benchmarks.
+/// Reference O(n²) implementation: the oracle the LSH path is tested
+/// against.
 pub fn dedup_naive(pool: Vec<RawSample>, threshold: f64) -> Vec<RawSample> {
-    let sets: Vec<HashSet<u64>> = pool.iter().map(|s| shingles(&s.source)).collect();
+    let sets: Vec<Vec<u64>> = pool.iter().map(|s| shingles(&s.source)).collect();
     let mut dead = vec![false; pool.len()];
     for i in 0..pool.len() {
         if dead[i] {
@@ -306,6 +383,67 @@ mod tests {
         let a = shingles("assign y = a; // é\nassign z = b;");
         let b = shingles("assign y = a; //\nassign z = b;");
         assert_ne!(a, b);
+    }
+
+    fn ids(pool: Vec<RawSample>) -> Vec<u64> {
+        pool.into_iter().map(|s| s.id).collect()
+    }
+
+    #[test]
+    fn shingles_are_sorted_and_duplicate_free() {
+        // "a = a = a = a" repeats its 3-grams; the set holds each once.
+        for src in [M1, M2, "a = a = a = a", "x", ""] {
+            let set = shingles(src);
+            assert!(is_shingle_set(&set), "{src:?}");
+        }
+        assert_eq!(shingles("a = a = a = a").len(), 2);
+    }
+
+    #[test]
+    fn lsh_matches_naive_on_real_pools() {
+        // Scraped pools carry large buckets of byte-identical copies plus
+        // lightly edited near-copies — the regime the exact-copy collapse
+        // and the size-bound skip work on.
+        for seed in [1, 42] {
+            let pool = pyranet_corpus::CorpusBuilder::new(seed).scraped_files(300).build().samples;
+            for threshold in [0.85, 0.95, 1.0] {
+                let naive = ids(dedup_naive(pool.clone(), threshold));
+                let fast = ids(dedup(pool.clone(), threshold));
+                assert_eq!(naive, fast, "seed {seed}, threshold {threshold}");
+            }
+        }
+    }
+
+    #[test]
+    fn unreachable_thresholds_keep_every_sample() {
+        // No score reaches 1.5 and nothing compares >= NaN: not even exact
+        // copies die, so the copy collapse must stay off.
+        let pool = vec![raw(0, M1), raw(1, M1), raw(2, ""), raw(3, ""), raw(4, M2)];
+        for threshold in [1.5, f64::NAN] {
+            assert_eq!(ids(dedup(pool.clone(), threshold)), vec![0, 1, 2, 3, 4]);
+            assert_eq!(ids(dedup_naive(pool.clone(), threshold)), vec![0, 1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn empty_shingle_sets_dedup_against_each_other_only() {
+        // Two empty sets score 1.0, an empty and a non-empty set 0.0 — so
+        // blank sources collapse onto the first blank one and never touch
+        // real modules, at any threshold up to 1.0.
+        let pool = vec![
+            raw(0, ""),
+            raw(1, "   \n\t"),
+            raw(2, M1),
+            raw(3, ""),
+            raw(4, M2),
+            raw(5, "\n"),
+            raw(6, M1),
+        ];
+        assert!(shingles("   \n\t").is_empty());
+        for threshold in [0.5, 0.85, 1.0] {
+            assert_eq!(ids(dedup(pool.clone(), threshold)), vec![0, 2, 4], "{threshold}");
+            assert_eq!(ids(dedup_naive(pool.clone(), threshold)), vec![0, 2, 4], "{threshold}");
+        }
     }
 
     mod properties {

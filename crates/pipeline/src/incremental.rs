@@ -42,7 +42,6 @@ use pyranet_exec::{par_map, ExecConfig};
 use pyranet_verilog::metrics::ComplexityTier;
 use pyranet_verilog::SimMode;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Artifact-format versions, one per stage. Bump a stage's version when
 /// its artifact shape or verdict semantics change; old artifacts become
@@ -66,8 +65,9 @@ pub struct FilterArtifact {
     pub rejected: bool,
 }
 
-/// A cached dedup signature: the sample's shingle set (sorted, so the
-/// stored bytes are stable across runs) plus its MinHash signature. The
+/// A cached dedup signature: the sample's shingle set (sorted and
+/// duplicate free, as the join's merge-intersection requires; an
+/// artifact that breaks this is recomputed) plus its MinHash signature. The
 /// shingle set rides along because the LSH join verifies candidate pairs
 /// with *exact* Jaccard, not the signature estimate.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -187,24 +187,27 @@ pub(crate) fn dedup_cached(
     exec: &ExecConfig,
 ) -> Vec<RawSample> {
     let sources: Vec<&str> = pool.iter().map(|s| s.source.as_str()).collect();
-    let per_sample: Vec<(HashSet<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, move |src| {
+    let per_sample: Vec<(Vec<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, move |src| {
         let key = StageKey::new(STAGE_DEDUP_SIG, content_hash(src), fingerprint);
         if let Lookup::Hit(art) = store.get::<DedupSigArtifact>(&key) {
             // A malformed signature length means the artifact predates a
-            // parameter change that should have bumped the version — fall
-            // through and recompute rather than trust it.
+            // parameter change that should have bumped the version, and an
+            // unsorted or repeated shingle list would feed the join's
+            // merge-intersection wrong scores — either way, recompute
+            // rather than trust it.
             if let Ok(sig) = <[u64; NUM_HASHES]>::try_from(art.sig.as_slice()) {
-                return (art.shingles.into_iter().collect(), sig);
+                if dedup::is_shingle_set(&art.shingles) {
+                    return (art.shingles, sig);
+                }
             }
         }
-        let set = dedup::shingles(src);
-        let sig = dedup::minhash(&set);
-        let mut sorted: Vec<u64> = set.iter().copied().collect();
-        sorted.sort_unstable();
-        store.put(&key, &DedupSigArtifact { shingles: sorted, sig: sig.to_vec() }).ok();
-        (set, sig)
+        let shingles = dedup::shingles(src);
+        let sig = dedup::minhash(&shingles);
+        let artifact = DedupSigArtifact { shingles, sig: sig.to_vec() };
+        store.put(&key, &artifact).ok();
+        (artifact.shingles, sig)
     });
-    let (sets, sigs): (Vec<HashSet<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
+    let (sets, sigs): (Vec<Vec<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
     let dead = dedup::lsh_sweep(&sets, &sigs, threshold);
     pool.into_iter().zip(dead).filter(|(_, d)| !*d).map(|(s, _)| s).collect()
 }
@@ -267,6 +270,40 @@ mod tests {
                 STAGE_SYNTAX_RANK
             ]
         );
+    }
+
+    #[test]
+    fn unsorted_cached_shingles_are_recomputed() {
+        // The join's merge-intersection needs sorted shingle sets, so a
+        // well-formed artifact with a reversed shingle list is as stale as
+        // one with a wrong-length signature: recomputed and re-put, never
+        // scored as is.
+        let dir = std::env::temp_dir()
+            .join(format!("pyranet-incremental-reversed-{}", std::process::id()));
+        let store = ArtifactStore::open(&dir).expect("open store");
+        let fingerprint = StageFingerprints::derive(0.85, None).dedup_sig;
+        let key =
+            |s: &RawSample| StageKey::new(STAGE_DEDUP_SIG, content_hash(&s.source), fingerprint);
+        let pool = pyranet_corpus::CorpusBuilder::new(5).scraped_files(120).build().samples;
+        for s in &pool {
+            let mut shingles = dedup::shingles(&s.source);
+            let sig = dedup::minhash(&shingles).to_vec();
+            shingles.reverse();
+            store.put(&key(s), &DedupSigArtifact { shingles, sig }).expect("plant artifact");
+        }
+
+        let exec = ExecConfig::new().threads(2);
+        let ids = |out: Vec<RawSample>| out.into_iter().map(|s| s.id).collect::<Vec<_>>();
+        let cached = ids(dedup_cached(&store, fingerprint, pool.clone(), 0.85, &exec));
+        let uncached = ids(dedup::dedup_with(pool.clone(), 0.85, &exec));
+        assert_eq!(cached, uncached);
+        for s in &pool {
+            match store.get::<DedupSigArtifact>(&key(s)) {
+                Lookup::Hit(art) => assert_eq!(art.shingles, dedup::shingles(&s.source)),
+                _ => panic!("recomputed artifact was not re-put"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -72,7 +72,11 @@ fn metrics_recording_does_not_perturb_outputs() {
         Some(SnapshotValue::Histogram { count, .. }) => *count,
         _ => 0,
     };
-    let collected_before = global().snapshot().counter("pipeline.funnel.collected").unwrap_or(0);
+    let counter = |name: &str| global().snapshot().counter(name).unwrap_or(0);
+    let dedup_counters =
+        ["pipeline.dedup.candidates", "pipeline.dedup.verified", "pipeline.dedup.exact_copies"];
+    let collected_before = counter("pipeline.funnel.collected");
+    let dedup_before = dedup_counters.map(counter);
     let runs_before = hist_count("pipeline.run.seconds");
 
     let build = |threads| {
@@ -93,11 +97,18 @@ fn metrics_recording_does_not_perturb_outputs() {
     }
 
     let n_runs = 1 + THREAD_COUNTS.len() as u64;
-    let collected_after = global().snapshot().counter("pipeline.funnel.collected").unwrap_or(0);
+    let collected_after = counter("pipeline.funnel.collected");
     assert!(
         collected_after >= collected_before + n_runs * 220,
         "funnel counters must record every run: {collected_before} -> {collected_after}"
     );
+    for (name, before) in dedup_counters.into_iter().zip(dedup_before) {
+        let after = counter(name);
+        assert!(
+            after >= before + n_runs,
+            "{name} must record every dedup join: {before} -> {after}"
+        );
+    }
     assert!(hist_count("pipeline.run.seconds") >= runs_before + n_runs, "span must time each run");
 }
 
