@@ -11,9 +11,10 @@
 //! warm >= 5x cold, mutated >= 3x cold.
 
 use pyranet::corpus::{CorpusBuilder, RawSample};
-use pyranet::pipeline::persist::{fnv1a64, format_checksum};
+use pyranet::pipeline::persist::format_checksum;
 use pyranet::pipeline::Pipeline;
 use pyranet_bench::Scale;
+use pyranet_exec::hash_bytes;
 use serde::Serialize;
 use std::path::Path;
 
@@ -64,7 +65,7 @@ struct BenchReport {
 fn digest(ds: &pyranet::PyraNetDataset) -> String {
     let mut buf = Vec::new();
     ds.to_jsonl(&mut buf).expect("serialize dataset");
-    format_checksum(fnv1a64(&buf))
+    format_checksum(hash_bytes(&buf))
 }
 
 fn counter(name: &str) -> u64 {

@@ -1,12 +1,12 @@
 //! Model-hot-path benchmark: measures training and generation throughput
 //! (tokens/sec) and writes `BENCH_train.json`.
 //!
-//! The training path is timed once per f32 kernel family — the naive
-//! `reference` loops, the cache-`blocked` rework, and the vectorized
-//! `simd` lanes — so the per-family speedups directly quantify each
-//! kernel generation. Blocked is bit-identical to reference and simd is
-//! deterministic (tests/determinism.rs and the model crate's property
-//! tests enforce both), so the fastest family is always safe to use.
+//! The training path is timed once per f32 kernel family — the
+//! cache-`blocked` default and the vectorized `simd` lanes — so the
+//! speedup quantifies the vectorization. Blocked is bit-identical to the
+//! naive test-only oracle kernels and simd is deterministic
+//! (tests/determinism.rs and the model crate's property tests enforce
+//! both), so the fastest family is always safe to use.
 //!
 //! Honours `PYRANET_SCALE` (`quick` for the CI smoke run, `full` default).
 
@@ -46,12 +46,8 @@ struct BenchReport {
     repeats: u64,
     /// SFT micro-budget training with the blocked kernels (default mode).
     train_blocked: PathReport,
-    /// Same workload with the naive reference kernels.
-    train_reference: PathReport,
     /// Same workload with the vectorized simd kernels.
     train_simd: PathReport,
-    /// Blocked-kernel training speedup over the reference kernels.
-    speedup_vs_reference: f64,
     /// Simd-kernel training speedup over the blocked kernels.
     speedup_simd_vs_blocked: f64,
     /// Greedy generation with the KV cache (blocked kernels).
@@ -129,17 +125,10 @@ fn main() {
         }
         path(mode, best, tokens)
     };
-    let train_reference = measure(KernelMode::Reference);
     let train_blocked = measure(KernelMode::Blocked);
     let train_simd = measure(KernelMode::Simd);
-    let speedup =
-        if train_blocked.secs > 0.0 { train_reference.secs / train_blocked.secs } else { 1.0 };
     let speedup_simd =
         if train_simd.secs > 0.0 { train_blocked.secs / train_simd.secs } else { 1.0 };
-    eprintln!(
-        "train: blocked {:.3}s vs reference {:.3}s ({speedup:.2}x)",
-        train_blocked.secs, train_reference.secs
-    );
     eprintln!(
         "train: simd {:.3}s vs blocked {:.3}s ({speedup_simd:.2}x)",
         train_simd.secs, train_blocked.secs
@@ -182,9 +171,7 @@ fn main() {
         batch_size: tcfg.batch_size as u64,
         repeats: repeats as u64,
         train_blocked,
-        train_reference,
         train_simd,
-        speedup_vs_reference: speedup,
         speedup_simd_vs_blocked: speedup_simd,
         generate,
     };

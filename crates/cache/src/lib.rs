@@ -10,8 +10,9 @@
 //!
 //! Three pieces:
 //!
-//! * [`hasher`] — [`Fnv64`]/[`Fingerprint`]/[`StageKey`]: stable FNV-1a
-//!   key derivation. Changing a knob (jaccard threshold, sim mode,
+//! * [`hasher`] — [`Fingerprint`]/[`StageKey`]: stable FNV-1a key
+//!   derivation over the workspace hash ([`Fnv64`], re-exported from
+//!   `pyranet-exec`). Changing a knob (jaccard threshold, sim mode,
 //!   rank-judge version) changes the fingerprint of exactly the stages
 //!   that read it, retiring their artifacts and nothing else.
 //! * [`artifact`] — [`ArtifactStore`]: the on-disk CAS. Checksummed

@@ -16,16 +16,15 @@
 //! pyranet stats <dataset.jsonl | shard-dir | manifest.json>
 //!                                 # layer pyramid + funnel of a built dataset
 //! pyranet train [--files N] [--batch-size B] [--epochs E] [--threads T]
-//!               [--kernel reference|blocked|simd|int8]
+//!               [--kernel blocked|simd|int8]
 //!               [--recipe sft|repair] [--repair-out FILE.jsonl]
 //! pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]
-//!              [--threads T] [--seed S] [--engine session|per-sample]
-//!              [--kernel reference|blocked|simd|int8]
+//!              [--threads T] [--seed S] [--kernel blocked|simd|int8]
 //!              [--sim compiled|reference] [--check stimulus|equivalence]
 //!              [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]
 //! pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]
 //!               [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]
-//!               [--kernel reference|blocked|simd|int8] [--files N] [--epochs E]
+//!               [--kernel blocked|simd|int8] [--files N] [--epochs E]
 //!               [--shuffle-arrival S]
 //! ```
 //!
@@ -84,16 +83,16 @@ fn print_usage() {
         \x20                     [--cache-dir DIR]\n  \
          pyranet stats <dataset.jsonl | shard-dir | manifest.json>\n  \
          pyranet train [--files N] [--seed S] [--threads T] [--batch-size B] [--epochs E] [--max-examples M]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--recipe sft|repair]\n  \
+        \x20            [--kernel blocked|simd|int8] [--recipe sft|repair]\n  \
         \x20            [--repair-out FILE.jsonl]\n  \
          pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
-        \x20            [--threads T] [--seed S] [--engine session|per-sample]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--sim compiled|reference]\n  \
-        \x20            [--check stimulus|equivalence] [--max-eq-inputs N]\n  \
+        \x20            [--threads T] [--seed S] [--kernel blocked|simd|int8]\n  \
+        \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
+        \x20            [--max-eq-inputs N]\n  \
         \x20            [--files N] [--epochs E] [--json OUT]\n  \
          pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
         \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--files N] [--epochs E]\n  \
+        \x20            [--kernel blocked|simd|int8] [--files N] [--epochs E]\n  \
         \x20            [--shuffle-arrival S]\n\n\
          build-dataset, train, eval, and serve also accept:\n  \
          --metrics OUT.json   write a JSON snapshot of all recorded metrics\n  \
@@ -229,6 +228,15 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         println!("{out} = {v}");
     }
     Ok(())
+}
+
+/// Parses the value of a numeric `flag` into its target type, naming the
+/// flag on failure (an out-of-range value is an error, never a wrap).
+fn num<T: std::str::FromStr>(flag: &str, v: Result<String, String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v?.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
 fn parse_value(s: &str) -> Result<u64, String> {
@@ -463,7 +471,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    use pyranet::eval::{evaluate, human_split, machine_split, EngineMode, EvalOptions};
+    use pyranet::eval::{evaluate, human_split, machine_split, EvalOptions};
 
     let mut split = "machine".to_owned();
     let mut files = 300usize;
@@ -474,36 +482,26 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value")).cloned();
-        let num = |flag: &str, v: Result<String, String>| -> Result<usize, String> {
-            v?.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
         match a.as_str() {
             "--metrics" => metrics.out = Some(val("--metrics")?),
             "--verbose" => metrics.verbose = true,
             "--split" => split = val("--split")?,
             "--samples" => {
-                opts.samples_per_problem = num("--samples", val("--samples"))?.max(1) as u32;
+                opts.samples_per_problem = num::<u32>("--samples", val("--samples"))?.max(1);
             }
             "--max-new-tokens" => {
                 opts.max_new_tokens = num("--max-new-tokens", val("--max-new-tokens"))?;
             }
             "--threads" => opts.threads = num("--threads", val("--threads"))?,
-            "--seed" => opts.seed = num("--seed", val("--seed"))? as u64,
-            "--engine" => {
-                opts.engine = match val("--engine")?.as_str() {
-                    "session" => EngineMode::Session,
-                    "per-sample" => EngineMode::PerSample,
-                    other => return Err(format!("bad --engine `{other}` (session|per-sample)")),
-                };
-            }
+            "--seed" => opts.seed = num("--seed", val("--seed"))?,
             "--kernel" => opts.kernel = val("--kernel")?.parse()?,
             "--sim" => opts.sim = val("--sim")?.parse()?,
             "--check" => opts.check = val("--check")?.parse()?,
             "--max-eq-inputs" => {
-                opts.max_eq_inputs = num("--max-eq-inputs", val("--max-eq-inputs"))? as u32;
+                opts.max_eq_inputs = num("--max-eq-inputs", val("--max-eq-inputs"))?
             }
             "--files" => files = num("--files", val("--files"))?,
-            "--epochs" => epochs = num("--epochs", val("--epochs"))?.max(1),
+            "--epochs" => epochs = num::<usize>("--epochs", val("--epochs"))?.max(1),
             "--json" => json = Some(val("--json")?),
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -600,26 +598,27 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value")).cloned();
-        let num = |flag: &str, v: Result<String, String>| -> Result<usize, String> {
-            v?.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
         match a.as_str() {
             "--metrics" => metrics.out = Some(val("--metrics")?),
             "--verbose" => metrics.verbose = true,
             "--requests" => requests_path = Some(val("--requests")?),
             "--out" => out = Some(val("--out")?),
-            "--max-batch" => cfg.max_batch = num("--max-batch", val("--max-batch"))?.max(1),
-            "--queue-depth" => cfg.queue_depth = num("--queue-depth", val("--queue-depth"))?.max(1),
+            "--max-batch" => {
+                cfg.max_batch = num::<usize>("--max-batch", val("--max-batch"))?.max(1)
+            }
+            "--queue-depth" => {
+                cfg.queue_depth = num::<usize>("--queue-depth", val("--queue-depth"))?.max(1)
+            }
             "--prefix-cache" => {
                 cfg.prefix_cache_entries = num("--prefix-cache", val("--prefix-cache"))?;
             }
-            "--seed" => cfg.seed = num("--seed", val("--seed"))? as u64,
+            "--seed" => cfg.seed = num("--seed", val("--seed"))?,
             "--kernel" => cfg.kernel = val("--kernel")?.parse()?,
             "--threads" => cfg.threads = num("--threads", val("--threads"))?,
             "--files" => files = num("--files", val("--files"))?,
-            "--epochs" => epochs = num("--epochs", val("--epochs"))?.max(1),
+            "--epochs" => epochs = num::<usize>("--epochs", val("--epochs"))?.max(1),
             "--shuffle-arrival" => {
-                shuffle_arrival = Some(num("--shuffle-arrival", val("--shuffle-arrival"))? as u64);
+                shuffle_arrival = Some(num("--shuffle-arrival", val("--shuffle-arrival"))?);
             }
             other => return Err(format!("unexpected argument `{other}`")),
         }
@@ -757,4 +756,34 @@ fn load_manifest_if_sharded(path: &std::path::Path) -> Option<pyranet::pipeline:
         return None;
     };
     pyranet::pipeline::ShardManifest::load(dir).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cmd_eval;
+
+    /// Runs `pyranet eval` with `args` and returns its error. The trailing
+    /// bad `--split` is a guard: an argument that slips through the flag
+    /// parser fails on the split check instead of building a corpus.
+    fn eval_err(args: &[&str]) -> String {
+        let mut args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        args.extend(["--split".to_owned(), "none".to_owned()]);
+        cmd_eval(&args).expect_err("eval must reject the arguments")
+    }
+
+    #[test]
+    fn eval_rejects_counts_that_do_not_fit_u32() {
+        let err = eval_err(&["--samples", "4294967296"]);
+        assert!(err.starts_with("bad --samples:"), "{err}");
+        let err = eval_err(&["--max-eq-inputs", "4294967308"]);
+        assert!(err.starts_with("bad --max-eq-inputs:"), "{err}");
+    }
+
+    #[test]
+    fn eval_rejects_the_removed_reference_selectors() {
+        let err = eval_err(&["--kernel", "reference"]);
+        assert!(err.contains("blocked|simd|int8"), "{err}");
+        let err = eval_err(&["--engine", "session"]);
+        assert!(err.contains("unexpected argument"), "{err}");
+    }
 }

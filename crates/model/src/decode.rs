@@ -22,16 +22,17 @@
 //!
 //! # Determinism
 //!
-//! In the f32 families ([`KernelMode::Blocked`], `Reference`, and `Simd` —
-//! whose forward matmul is AXPY-structured and preserves accumulation
-//! order) every kernel on this path accumulates each output element in
-//! ascending shared-dimension order — the same discipline as the training
-//! kernels — so a row of a batched matmul is bit-identical to the
-//! corresponding single-vector product, a forked sequence is bit-identical
-//! to one decoded from a fresh prefill, and a batch of sequences is
-//! bit-identical to the same sequences decoded one at a time. Property
-//! tests pin all three equivalences against the retained
-//! [`TransformerLm::generate_legacy`] loop.
+//! In the f32 families ([`KernelMode::Blocked`] and `Simd` — whose forward
+//! matmul is AXPY-structured and preserves accumulation order) every
+//! kernel on this path accumulates each output element in ascending
+//! shared-dimension order — the same discipline as the training kernels —
+//! so a row of a batched matmul is bit-identical to the corresponding
+//! single-vector product, a forked sequence is bit-identical to one
+//! decoded from a fresh prefill, and a batch of sequences is bit-identical
+//! to the same sequences decoded one at a time. Property tests pin all
+//! three equivalences against the naive per-token decode loop, which
+//! survives only as a test-only oracle (it is not selectable at run
+//! time).
 //!
 //! A [`KernelMode::QuantizedInt8`] session trades that bit-exactness for
 //! throughput: effective weights are absmax-quantized to int8 once at

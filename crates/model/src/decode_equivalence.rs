@@ -2,8 +2,8 @@
 //!
 //! `DecodeSession` exists to make pass@k evaluation fast — shared prefill,
 //! zero-copy KV forks, lock-step batched decoding — while changing *no*
-//! output bit. These tests pin each equivalence against the retained
-//! legacy loop:
+//! output bit. These tests pin each equivalence against the naive
+//! per-token loop, [`generate_legacy`], kept as a test-only oracle:
 //!
 //! * session decode ≡ `generate_legacy` for random prompts/seeds/temps;
 //! * a sequence forked from a shared prefix ≡ the same sequence decoded
@@ -13,10 +13,11 @@
 //! * over-long prompts (the legacy empty-completion bug) now keep the
 //!   prompt tail and produce a real, reported-as-truncated completion.
 
+use crate::decode::DecodeSession;
+use crate::lora::LoraConfig;
+use crate::oracle::generate_legacy;
+use crate::{KernelMode, ModelConfig, SampleOptions, TransformerLm};
 use proptest::prelude::*;
-use pyranet_model::decode::DecodeSession;
-use pyranet_model::lora::LoraConfig;
-use pyranet_model::{KernelMode, ModelConfig, SampleOptions, TransformerLm};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -73,7 +74,7 @@ proptest! {
         };
         let legacy = {
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-            lm.generate_legacy(&prompt, max_new, &opts, &mut rng)
+            generate_legacy(&lm, &prompt, max_new, &opts, &mut rng)
         };
         let session = {
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
@@ -115,7 +116,7 @@ proptest! {
             let fresh = lm.generate_report(&prompt, max_new, &opts[i], &mut rng);
             prop_assert_eq!(&fresh, expect, "sequence {}", i);
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed ^ (i as u64) << 32);
-            let legacy = lm.generate_legacy(&prompt, max_new, &opts[i], &mut rng);
+            let legacy = generate_legacy(&lm, &prompt, max_new, &opts[i], &mut rng);
             prop_assert_eq!(&expect.ids, &legacy, "sequence {} vs legacy", i);
         }
     }
@@ -137,7 +138,7 @@ proptest! {
         let opts = SampleOptions { temperature: 0.6, top_k: 0 };
         let legacy = {
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-            lm.generate_legacy(&prompt, max_new, &opts, &mut rng)
+            generate_legacy(&lm, &prompt, max_new, &opts, &mut rng)
         };
         let simd = {
             let mut session = DecodeSession::new_with(&lm, KernelMode::Simd);
@@ -190,7 +191,7 @@ proptest! {
         let opts = SampleOptions { temperature: 0.8, top_k: 0 };
         let legacy = {
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
-            lm.generate_legacy(&prompt, 16, &opts, &mut rng)
+            generate_legacy(&lm, &prompt, 16, &opts, &mut rng)
         };
         let session = {
             let mut rng = ChaCha8Rng::seed_from_u64(rng_seed);
@@ -209,7 +210,7 @@ fn overlong_prompt_keeps_tail_and_reports_truncation() {
     // The legacy loop's historical wart: the completion comes back empty
     // (every slot is consumed by forced prompt tokens) and nothing says so.
     let mut rng = ChaCha8Rng::seed_from_u64(9);
-    assert_eq!(lm.generate_legacy(&prompt, 16, &opts, &mut rng), Vec::<usize>::new());
+    assert_eq!(generate_legacy(&lm, &prompt, 16, &opts, &mut rng), Vec::<usize>::new());
 
     // The session clamps explicitly: the prompt tail survives, decode
     // headroom is reserved, and the drop is surfaced.
@@ -239,7 +240,7 @@ fn budget_clamp_is_reported() {
     assert_eq!(report.clamped_new_tokens, 12);
     assert!(report.ids.len() <= 4);
     let mut rng = ChaCha8Rng::seed_from_u64(2);
-    assert_eq!(report.ids, lm.generate_legacy(&prompt, 16, &opts, &mut rng));
+    assert_eq!(report.ids, generate_legacy(&lm, &prompt, 16, &opts, &mut rng));
 }
 
 #[test]

@@ -42,10 +42,15 @@ pub mod tensor;
 pub mod tokenizer;
 pub mod transformer;
 
+#[cfg(test)]
+mod decode_equivalence;
+#[cfg(test)]
+mod oracle;
+
 pub use adam::Adam;
 pub use config::ModelConfig;
 pub use decode::{DecodeSession, Generation, PrefixState, PromptPlan, TokenSampler};
 pub use sampler::SampleOptions;
-pub use tensor::{kernel_mode, set_kernel_mode, KernelMode};
+pub use tensor::KernelMode;
 pub use tokenizer::Tokenizer;
 pub use transformer::TransformerLm;

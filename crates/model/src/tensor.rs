@@ -9,18 +9,16 @@
 //!
 //! The matmul family (forward and backward) runs through the kernels in
 //! [`kernels`], selected per graph by [`KernelMode`] (see
-//! [`Graph::with_kernels`]). The `Blocked` and `Reference` families
-//! accumulate each output element in ascending shared-dimension order and
-//! are **bit-identical** on finite inputs — see the equivalence property
-//! tests. The `Simd` family keeps that order (and hence bit-exactness)
-//! for `matmul` and `matmul_tn`, but trades it for per-lane accumulators
-//! in `matmul_nt` and the softmax/layer-norm statistics sweeps — still
-//! deterministic, no longer bit-identical; every trade is documented on
-//! the kernel itself and in DESIGN.md. Softmax, layer norm, and
-//! cross-entropy are fused into two sweeps per row (one read-only
-//! statistics sweep, one write sweep).
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! [`Graph::with_kernels`]). The `Blocked` family accumulates each output
+//! element in ascending shared-dimension order, and the property tests
+//! pin it **bit-identical** on finite inputs to the naive triple loops,
+//! which survive only as test-only oracles. The `Simd` family keeps that
+//! order (and hence bit-exactness) for `matmul` and `matmul_tn`, but
+//! trades it for per-lane accumulators in `matmul_nt` and the
+//! softmax/layer-norm statistics sweeps — still deterministic, no longer
+//! bit-identical; every trade is documented on the kernel itself and in
+//! DESIGN.md. Softmax, layer norm, and cross-entropy are fused into two
+//! sweeps per row (one read-only statistics sweep, one write sweep).
 
 /// A node id on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,12 +64,10 @@ impl Matrix {
 
 /// Which kernel family the graph ops (and the decode engine) dispatch to.
 ///
-/// `Blocked` (the default) is the cache-friendly production path.
-/// `Reference` retains the pre-optimization naive loops (and the
-/// selector-matrix row-slice construction) so benchmarks can measure the
-/// speedup and property tests can assert exact agreement. Both accumulate
-/// in the same per-element order, so **Blocked ≡ Reference bit-for-bit on
-/// finite inputs**.
+/// `Blocked` (the default) is the cache-friendly production path. It
+/// accumulates in the same per-element order as the pre-optimization
+/// naive loops, which the property tests keep as test-only oracles:
+/// **Blocked ≡ naive bit-for-bit on finite inputs**.
 ///
 /// `Simd` is the explicitly vectorized f32 family: `matmul`/`matmul_tn`
 /// keep ascending shared-dim accumulation (still bit-identical to
@@ -90,8 +86,6 @@ pub enum KernelMode {
     /// Blocked, loop-reordered kernels with fused AXPY inner loops.
     #[default]
     Blocked,
-    /// The retained naive triple-loop kernels (benchmark baseline).
-    Reference,
     /// Vectorized lane-unrolled f32 kernels (exactness trades documented
     /// per kernel).
     Simd,
@@ -100,11 +94,10 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// The CLI/JSON name of the family (`reference|blocked|simd|int8`).
+    /// The CLI/JSON name of the family (`blocked|simd|int8`).
     pub fn as_str(self) -> &'static str {
         match self {
             KernelMode::Blocked => "blocked",
-            KernelMode::Reference => "reference",
             KernelMode::Simd => "simd",
             KernelMode::QuantizedInt8 => "int8",
         }
@@ -129,43 +122,10 @@ impl std::str::FromStr for KernelMode {
     fn from_str(s: &str) -> Result<KernelMode, String> {
         match s {
             "blocked" => Ok(KernelMode::Blocked),
-            "reference" => Ok(KernelMode::Reference),
             "simd" => Ok(KernelMode::Simd),
             "int8" | "quantized-int8" => Ok(KernelMode::QuantizedInt8),
-            other => {
-                Err(format!("unknown kernel mode `{other}` (expected reference|blocked|simd|int8)"))
-            }
+            other => Err(format!("unknown kernel mode `{other}` (expected blocked|simd|int8)")),
         }
-    }
-}
-
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-global *default* kernel family — a thin compat shim.
-///
-/// Kernel selection is plumbed explicitly ([`Graph::with_kernels`],
-/// `TransformerLm::set_kernels`, `TrainConfig::kernel`,
-/// `EvalOptions::kernel`, `DecodeSession::new_with`); the global is only
-/// consulted as the default by [`Graph::new`] and `TransformerLm::new`,
-/// so flipping it mid-process cannot perturb an already-built graph,
-/// model, or session.
-pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Blocked => 0,
-        KernelMode::Reference => 1,
-        KernelMode::Simd => 2,
-        KernelMode::QuantizedInt8 => 3,
-    };
-    KERNEL_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The process-global default kernel family (see [`set_kernel_mode`]).
-pub fn kernel_mode() -> KernelMode {
-    match KERNEL_MODE.load(Ordering::Relaxed) {
-        1 => KernelMode::Reference,
-        2 => KernelMode::Simd,
-        3 => KernelMode::QuantizedInt8,
-        _ => KernelMode::Blocked,
     }
 }
 
@@ -177,12 +137,12 @@ pub fn kernel_mode() -> KernelMode {
 /// * [`matmul_nt_into`]: `out[m,n] = a[m,k] · b[n,k]ᵀ`
 /// * [`matmul_tn_into`]: `out[m,n] = a[r,m]ᵀ · c[r,n]`
 ///
-/// Each `*_into` dispatches on an explicit [`KernelMode`]; the
-/// `*_blocked`, `*_reference`, and `*_simd` variants are public so
-/// property tests can compare them directly. The blocked/reference
-/// implementations (and the simd `matmul`/`matmul_tn`) accumulate each
-/// output element in ascending shared-dimension order and agree
-/// bit-for-bit on finite inputs; [`matmul_nt_simd`] documents the one
+/// Each `*_into` dispatches on an explicit [`KernelMode`]; the `*_blocked`
+/// and `*_simd` variants are public so property tests can compare them
+/// directly. The blocked implementations (and the simd
+/// `matmul`/`matmul_tn`) accumulate each output element in ascending
+/// shared-dimension order and agree bit-for-bit on finite inputs with the
+/// naive test-only oracles; [`matmul_nt_simd`] documents the one
 /// f32-matmul exactness trade.
 pub mod kernels {
     use super::{KernelMode, Matrix};
@@ -208,7 +168,6 @@ pub mod kernels {
     pub fn matmul_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         match mode {
             KernelMode::Blocked => matmul_blocked(a, b, out),
-            KernelMode::Reference => matmul_reference(a, b, out),
             KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_simd(a, b, out),
         }
     }
@@ -217,7 +176,6 @@ pub mod kernels {
     pub fn matmul_nt_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         match mode {
             KernelMode::Blocked => matmul_nt_blocked(a, b, out),
-            KernelMode::Reference => matmul_nt_reference(a, b, out),
             KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_nt_simd(a, b, out),
         }
     }
@@ -226,7 +184,6 @@ pub mod kernels {
     pub fn matmul_tn_into(mode: KernelMode, a: &Matrix, c: &Matrix, out: &mut Matrix) {
         match mode {
             KernelMode::Blocked => matmul_tn_blocked(a, c, out),
-            KernelMode::Reference => matmul_tn_reference(a, c, out),
             KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_tn_simd(a, c, out),
         }
     }
@@ -250,26 +207,6 @@ pub mod kernels {
                         let brow = &b.data[kk * n + col0..kk * n + col0 + cols];
                         axpy(orow, brow, av);
                     }
-                }
-            }
-        }
-    }
-
-    /// The retained naive matmul (i-k-j with a zero-skip, exactly the
-    /// pre-optimization forward kernel).
-    pub fn matmul_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(a.cols, b.rows);
-        out.data.fill(0.0);
-        for i in 0..a.rows {
-            for k in 0..a.cols {
-                let av = a.data[i * a.cols + k];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[k * b.cols..(k + 1) * b.cols];
-                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
-                for (o, &x) in orow.iter_mut().zip(brow) {
-                    *o += av * x;
                 }
             }
         }
@@ -320,22 +257,6 @@ pub mod kernels {
         }
     }
 
-    /// The retained naive `a · bᵀ` (i-j-k dot products, the pre-optimization
-    /// kernel).
-    pub fn matmul_nt_reference(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(a.cols, b.cols);
-        let (m, k, n) = (a.rows, a.cols, b.rows);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a.data[i * k + kk] * b.data[j * k + kk];
-                }
-                out.data[i * n + j] = acc;
-            }
-        }
-    }
-
     /// Blocked `aᵀ · c`: `out[j, :] += a[r, j] * c[r, :]` with the `r` loop
     /// outermost, so both operands stream contiguously and the inner loop
     /// is a fused AXPY; column tiles bound the `out` working set.
@@ -353,22 +274,6 @@ pub mod kernels {
                     let orow = &mut out.data[j * n + col0..j * n + col0 + cols];
                     axpy(orow, crow, av);
                 }
-            }
-        }
-    }
-
-    /// The retained naive `aᵀ · c` (j-c-r dot products over strided
-    /// columns, the pre-optimization backward kernel).
-    pub fn matmul_tn_reference(a: &Matrix, c: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(a.rows, c.rows);
-        let (r_rows, m, n) = (a.rows, a.cols, c.cols);
-        for j in 0..m {
-            for col in 0..n {
-                let mut acc = 0.0f32;
-                for r in 0..r_rows {
-                    acc += a.data[r * m + j] * c.data[r * n + col];
-                }
-                out.data[j * n + col] = acc;
             }
         }
     }
@@ -838,11 +743,10 @@ pub fn softmax_row_inplace(row: &mut [f32]) {
 }
 
 impl Graph {
-    /// Creates an empty graph using the process-global default kernel
-    /// family (the [`set_kernel_mode`] compat shim). New code should
-    /// prefer [`Graph::with_kernels`].
+    /// Creates an empty graph on the default ([`KernelMode::Blocked`])
+    /// kernel family.
     pub fn new() -> Graph {
-        Graph::with_kernels(kernel_mode())
+        Graph::with_kernels(KernelMode::default())
     }
 
     /// Creates an empty graph whose ops dispatch to `mode`'s kernels.
@@ -1080,14 +984,8 @@ impl Graph {
     }
 
     /// First `rows` rows of `a` (used to drop the final next-token row
-    /// before the loss).
-    ///
-    /// In [`KernelMode::Reference`] this builds the historical selector
-    /// matrix `S[rows, n]` with `S[i,i] = 1` and multiplies — the
-    /// pre-optimization construction, whose backward pass is an
-    /// `O(n · rows · cols)` dense matmul. The blocked mode records a
-    /// dedicated O(rows · cols) copy/scatter op instead; both produce
-    /// bit-identical values and gradients.
+    /// before the loss): an O(rows · cols) copy forward, a scatter into
+    /// the leading rows backward.
     ///
     /// # Panics
     ///
@@ -1097,15 +995,6 @@ impl Graph {
         assert!(rows <= v.rows, "slice beyond rows");
         if rows == v.rows {
             return a;
-        }
-        if self.kernels == KernelMode::Reference {
-            let n = v.rows;
-            let mut sel = Matrix::zeros(rows, n);
-            for i in 0..rows {
-                sel.data[i * n + i] = 1.0;
-            }
-            let s = self.constant(sel);
-            return self.matmul(s, a);
         }
         let cols = v.cols;
         let mut out = Matrix::zeros(rows, cols);
@@ -1458,6 +1347,7 @@ fn gelu_bwd_fast(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use proptest::prelude::*;
 
     /// Numerically checks d(loss)/d(param[idx]) for a scalar-producing
@@ -1779,10 +1669,10 @@ mod tests {
         let _ = Matrix::new(2, 2, vec![1.0; 3]);
     }
 
-    // ---- blocked-vs-reference kernel equivalence ----
+    // ---- blocked-vs-naive kernel equivalence ----
 
     /// Like [`seeded`] but with ~3/4 of the entries forced to exact zero,
-    /// so the reference kernel's zero-skip path is exercised.
+    /// so the naive kernel's zero-skip path is exercised.
     fn seeded_zero_heavy(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut m = seeded(rows, cols, seed);
         let mut x = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
@@ -1800,8 +1690,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Forward matmul: blocked and reference kernels agree bit-for-bit
-        /// (same per-element accumulation order).
+        /// Forward matmul: the blocked kernel and the naive oracle agree
+        /// bit-for-bit (same per-element accumulation order).
         #[test]
         fn blocked_matmul_is_bit_identical_to_reference(
             m in 1usize..9, k in 1usize..70, n in 1usize..300,
@@ -1812,7 +1702,7 @@ mod tests {
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
             kernels::matmul_blocked(&a, &b, &mut fast);
-            kernels::matmul_reference(&a, &b, &mut naive);
+            oracle::matmul_reference(&a, &b, &mut naive);
             prop_assert_eq!(
                 fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -1830,7 +1720,7 @@ mod tests {
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
             kernels::matmul_nt_blocked(&a, &b, &mut fast);
-            kernels::matmul_nt_reference(&a, &b, &mut naive);
+            oracle::matmul_nt_reference(&a, &b, &mut naive);
             prop_assert_eq!(
                 fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -1848,14 +1738,14 @@ mod tests {
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
             kernels::matmul_tn_blocked(&a, &c, &mut fast);
-            kernels::matmul_tn_reference(&a, &c, &mut naive);
+            oracle::matmul_tn_reference(&a, &c, &mut naive);
             prop_assert_eq!(
                 fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
         }
 
-        /// Zero-heavy operands (where the reference forward kernel takes its
+        /// Zero-heavy operands (where the naive forward kernel takes its
         /// skip path) still agree bit-for-bit.
         #[test]
         fn zero_heavy_matmul_is_bit_identical(
@@ -1867,49 +1757,11 @@ mod tests {
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
             kernels::matmul_blocked(&a, &b, &mut fast);
-            kernels::matmul_reference(&a, &b, &mut naive);
+            oracle::matmul_reference(&a, &b, &mut naive);
             prop_assert_eq!(
                 fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
             );
-        }
-
-        /// End-to-end backward: a full graph (matmul chains, gelu,
-        /// layernorm, attention-style nt, CE) produces bit-identical
-        /// gradients through the blocked and the reference kernels, because
-        /// every kernel variant preserves per-element accumulation order.
-        #[test]
-        fn backward_kernels_agree_through_a_full_graph(
-            rows in 2usize..6, d in 2usize..10, v in 2usize..30,
-            seed in 0u64..1_000,
-        ) {
-            let x = seeded(rows, d, seed);
-            let w1 = seeded(d, d, seed ^ 1);
-            let w2 = seeded(d, v, seed ^ 2);
-            let run = |mode: KernelMode| {
-                let mut g = Graph::with_kernels(mode);
-                let xi = g.constant(x.clone());
-                let p1 = g.param(w1.clone());
-                let p2 = g.param(w2.clone());
-                let h = g.matmul(xi, p1);
-                let h = g.gelu(h);
-                let h = g.layernorm(h);
-                let scores = g.matmul_nt(h, xi);
-                let attn = g.softmax(scores, true);
-                let ctx = g.matmul(attn, xi);
-                let logits = g.matmul(ctx, p2);
-                let logits = g.slice_rows(logits, rows - 1);
-                let targets: Vec<usize> = (0..rows - 1).map(|i| i % v).collect();
-                let weights = vec![1.0f32; rows - 1];
-                let loss = g.cross_entropy(logits, &targets, &weights);
-                g.backward(loss);
-                (g.value(loss).data[0].to_bits(),
-                    g.grad(p1).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    g.grad(p2).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
-            };
-            let blocked = run(KernelMode::Blocked);
-            let reference = run(KernelMode::Reference);
-            prop_assert_eq!(blocked, reference);
         }
 
         // ---- simd-vs-blocked kernel pins ----
@@ -2067,30 +1919,12 @@ mod tests {
 
     #[test]
     fn kernel_mode_parses_and_displays() {
-        for mode in [
-            KernelMode::Blocked,
-            KernelMode::Reference,
-            KernelMode::Simd,
-            KernelMode::QuantizedInt8,
-        ] {
+        for mode in [KernelMode::Blocked, KernelMode::Simd, KernelMode::QuantizedInt8] {
             assert_eq!(mode.as_str().parse::<KernelMode>().unwrap(), mode);
             assert_eq!(format!("{mode}"), mode.as_str());
         }
         assert_eq!("quantized-int8".parse::<KernelMode>().unwrap(), KernelMode::QuantizedInt8);
         assert!("avx512".parse::<KernelMode>().is_err());
-    }
-
-    #[test]
-    fn kernel_mode_global_shim_sets_graph_default() {
-        // The global is only a default for `Graph::new`; everything else
-        // in this test binary plumbs the mode explicitly, so the brief
-        // flip below cannot perturb concurrently running tests' numerics.
-        set_kernel_mode(KernelMode::Simd);
-        assert_eq!(kernel_mode(), KernelMode::Simd);
-        assert_eq!(Graph::new().kernels(), KernelMode::Simd);
-        set_kernel_mode(KernelMode::Blocked);
-        assert_eq!(kernel_mode(), KernelMode::Blocked);
-        assert_eq!(Graph::new().kernels(), KernelMode::Blocked);
-        assert_eq!(Graph::with_kernels(KernelMode::Reference).kernels(), KernelMode::Reference);
+        assert!("reference".parse::<KernelMode>().is_err());
     }
 }

@@ -9,7 +9,7 @@ use crate::adam::Adam;
 use crate::config::ModelConfig;
 use crate::decode::{DecodeSession, Generation};
 use crate::lora::{Adapter, LoraConfig, LoraState};
-use crate::sampler::{sample_logits, SampleOptions};
+use crate::sampler::SampleOptions;
 use crate::tensor::{Graph, KernelMode, Matrix, TensorId};
 use pyranet_exec::ExecConfig;
 use rand::Rng;
@@ -111,7 +111,7 @@ impl TransformerLm {
             head,
             layers,
             lora: None,
-            kernels: crate::tensor::kernel_mode(),
+            kernels: KernelMode::default(),
         }
     }
 
@@ -441,10 +441,10 @@ impl TransformerLm {
     ///
     /// Runs through a one-shot [`crate::decode::DecodeSession`] (pre-merged
     /// weights, scratch arenas, explicit prompt clamping). Output ids are
-    /// bit-identical to [`TransformerLm::generate_legacy`] whenever the
-    /// prompt fits the context window; over-long prompts are now clamped
-    /// tail-first instead of silently swallowing the completion — use
-    /// [`TransformerLm::generate_report`] to observe the clamp.
+    /// bit-identical to the naive per-token loop (a test-only oracle)
+    /// whenever the prompt fits the context window; over-long prompts are
+    /// clamped tail-first instead of silently swallowing the completion —
+    /// use [`TransformerLm::generate_report`] to observe the clamp.
     pub fn generate<R: Rng>(
         &self,
         prompt: &[usize],
@@ -467,94 +467,6 @@ impl TransformerLm {
         let mut session = DecodeSession::new(self);
         let prefix = session.prefill(prompt, max_new);
         session.decode_one(&prefix, max_new, opts, rng)
-    }
-
-    /// The pre-engine generation loop, retained verbatim as the reference
-    /// implementation (same discipline as [`crate::tensor::KernelMode`]:
-    /// the naive path stays so benchmarks can measure the engine and
-    /// property tests can pin bit-identity).
-    ///
-    /// Known (historical) wart, fixed in the engine path: when
-    /// `prompt.len() >= cfg.max_seq` the loop silently drops the forced
-    /// tail of the prompt and returns an empty completion.
-    pub fn generate_legacy<R: Rng>(
-        &self,
-        prompt: &[usize],
-        max_new: usize,
-        opts: &SampleOptions,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        let d = self.cfg.d_model;
-        let hs = self.cfg.head_size();
-        let nh = self.cfg.n_heads;
-        let scale = 1.0 / (hs as f32).sqrt();
-        // Merged weights once per call (borrowed straight from the model
-        // unless a LoRA adapter forces a merge copy).
-        let w = self.decode_weights();
-
-        let mut kcache: Vec<Vec<f32>> = vec![Vec::new(); self.layers.len()];
-        let mut vcache: Vec<Vec<f32>> = vec![Vec::new(); self.layers.len()];
-        let mut out = Vec::new();
-        let mut logits = vec![0.0f32; self.vocab];
-        let total_budget = (prompt.len() + max_new).min(self.cfg.max_seq);
-        for t in 0..total_budget {
-            let id = if t < prompt.len() {
-                prompt[t]
-            } else {
-                let next = sample_logits(&logits, opts, rng);
-                if next == crate::tokenizer::EOS {
-                    break;
-                }
-                out.push(next);
-                next
-            };
-            // x = tok[id] + pos[t]
-            let mut x: Vec<f32> =
-                (0..d).map(|c| w.tok.data[id * d + c] + w.pos.data[t * d + c]).collect();
-            for (li, _) in self.layers.iter().enumerate() {
-                let xn = ln_vec(&x);
-                let q = vec_mat(&xn, &w.wq[li]);
-                let k = vec_mat(&xn, &w.wk[li]);
-                let v = vec_mat(&xn, &w.wv[li]);
-                kcache[li].extend_from_slice(&k);
-                vcache[li].extend_from_slice(&v);
-                let steps = kcache[li].len() / d;
-                let mut merged = vec![0.0f32; d];
-                for h in 0..nh {
-                    let qh = &q[h * hs..(h + 1) * hs];
-                    // scores over cached keys
-                    let mut scores = Vec::with_capacity(steps);
-                    for s in 0..steps {
-                        let kh = &kcache[li][s * d + h * hs..s * d + (h + 1) * hs];
-                        let dot: f32 = qh.iter().zip(kh).map(|(a, b)| a * b).sum();
-                        scores.push(dot * scale);
-                    }
-                    crate::tensor::softmax_row_inplace(&mut scores);
-                    for (s, w) in scores.iter().enumerate() {
-                        let vh = &vcache[li][s * d + h * hs..s * d + (h + 1) * hs];
-                        for (j, vx) in vh.iter().enumerate() {
-                            merged[h * hs + j] += w * vx;
-                        }
-                    }
-                }
-                let proj = vec_mat(&merged, &w.wo[li]);
-                for (xi, p) in x.iter_mut().zip(&proj) {
-                    *xi += p;
-                }
-                let xn = ln_vec(&x);
-                let mut h1 = vec_mat(&xn, &w.w1[li]);
-                for v in h1.iter_mut() {
-                    *v = crate::tensor::gelu_fwd(*v);
-                }
-                let h2 = vec_mat(&h1, &w.w2[li]);
-                for (xi, p) in x.iter_mut().zip(&h2) {
-                    *xi += p;
-                }
-            }
-            let xn = ln_vec(&x);
-            logits = vec_mat(&xn, w.head);
-        }
-        out
     }
 
     /// The effective (LoRA-merged) weight set the inference engine runs
@@ -599,8 +511,9 @@ enum TrainKey {
 }
 
 // ---- small-vector helpers for the inference fast path ----
-// (Shared with `crate::decode`; softmax and GELU live in `crate::tensor`
-// so the graph ops and both decode paths use one implementation each.)
+// (Shared with `crate::decode` and the test-only decode oracle; softmax
+// and GELU live in `crate::tensor` so the graph ops and every decode path
+// use one implementation each.)
 
 /// `out = x · w` for a `[1, rows]` vector against a `[rows, cols]` matrix,
 /// accumulating in ascending shared-dimension order (the same order as the
@@ -618,13 +531,6 @@ pub(crate) fn vec_mat(x: &[f32], w: &Matrix) -> Vec<f32> {
             *o += xv * wv;
         }
     }
-    out
-}
-
-/// Row layer norm into a fresh vector (see [`ln_row_into`]).
-pub(crate) fn ln_vec(x: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.len()];
-    ln_row_into(x, &mut out);
     out
 }
 
@@ -869,26 +775,6 @@ mod tests {
             assert_eq!(losses, ref_losses, "losses diverged at threads={threads}");
             assert_eq!(lm, ref_lm, "weights diverged at threads={threads}");
         }
-    }
-
-    #[test]
-    fn blocked_and_reference_kernels_train_identically() {
-        let tk = toy_tokenizer();
-        let examples = toy_examples(&tk);
-        let train = |mode: KernelMode| {
-            let mut lm = TransformerLm::new(tiny_cfg(), tk.vocab_size());
-            lm.set_kernels(mode);
-            let mut opt = Adam::new(lm.trainable_count(), 3e-3);
-            let mut losses = Vec::new();
-            for _ in 0..4 {
-                losses.push(lm.train_step(&examples, &mut opt).unwrap().to_bits());
-            }
-            (losses, lm)
-        };
-        let (blocked_losses, blocked_lm) = train(KernelMode::Blocked);
-        let (reference_losses, reference_lm) = train(KernelMode::Reference);
-        assert_eq!(blocked_losses, reference_losses, "losses must agree bit-for-bit");
-        assert_eq!(blocked_lm, reference_lm, "trained weights must agree bit-for-bit");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::dataset::{parse_jsonl_line, CuratedSample, PyraNetDataset};
 use crate::layers::Layer;
 use crate::stats::Funnel;
 use pyranet_cache::StageProvenance;
-use pyranet_exec::{par_map, ExecConfig};
+use pyranet_exec::{hash_bytes, par_map, ExecConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -123,20 +123,9 @@ impl ShardManifest {
     }
 }
 
-/// FNV-1a 64-bit hash — the shard content checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Renders a checksum the way the manifest stores it.
-pub fn format_checksum(sum: u64) -> String {
-    format!("{sum:016x}")
-}
+/// Renders a checksum the way the manifest stores it (16 lowercase hex
+/// digits, the artifact cache's rendering).
+pub use pyranet_cache::format_hash as format_checksum;
 
 impl PyraNetDataset {
     /// Exports the dataset as JSONL shards plus `manifest.json` under
@@ -202,7 +191,7 @@ impl PyraNetDataset {
                 file: name,
                 samples,
                 bytes: bytes.len() as u64,
-                checksum: format_checksum(fnv1a64(&bytes)),
+                checksum: format_checksum(hash_bytes(&bytes)),
             });
         }
 
@@ -320,7 +309,7 @@ pub fn read_shard(dir: &Path, entry: &ShardEntry) -> io::Result<Vec<CuratedSampl
             ),
         ));
     }
-    let found = format_checksum(fnv1a64(&bytes));
+    let found = format_checksum(hash_bytes(&bytes));
     if found != entry.checksum {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -487,10 +476,10 @@ mod tests {
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Published FNV-1a 64 test vectors, through the shard checksum path.
+        assert_eq!(hash_bytes(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash_bytes(b"foobar"), 0x85944171f73967e8);
         assert_eq!(format_checksum(0xaf), "00000000000000af");
     }
 
@@ -575,7 +564,7 @@ mod tests {
         // Re-stamp the manifest so the parse error (not the checksum) fires.
         let entry = ShardEntry {
             bytes: text.len() as u64,
-            checksum: format_checksum(fnv1a64(text.as_bytes())),
+            checksum: format_checksum(hash_bytes(text.as_bytes())),
             samples: victim.samples + 1,
             file: victim.file.clone(),
         };

@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 use pyranet::corpus::{CorpusBuilder, RawSample};
-use pyranet::pipeline::persist::{fnv1a64, format_checksum};
+use pyranet::pipeline::persist::format_checksum;
 use pyranet::pipeline::Pipeline;
+use pyranet_exec::hash_bytes;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::path::PathBuf;
@@ -26,7 +27,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn dataset_digest(ds: &pyranet::PyraNetDataset) -> String {
     let mut buf = Vec::new();
     ds.to_jsonl(&mut buf).expect("serialize dataset");
-    format_checksum(fnv1a64(&buf))
+    format_checksum(hash_bytes(&buf))
 }
 
 /// A synthetic scraped pool (no LLM generation, for speed).
@@ -127,7 +128,7 @@ fn corrupted_artifacts_degrade_to_recompute_never_a_wrong_verdict() {
         for entry in std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket dir") {
             let path = entry.expect("entry").path();
             let mut bytes = std::fs::read(&path).expect("read artifact");
-            let pos = (fnv1a64(path.as_os_str().as_encoded_bytes()) as usize) % bytes.len();
+            let pos = (hash_bytes(path.as_os_str().as_encoded_bytes()) as usize) % bytes.len();
             bytes[pos] ^= 0x11;
             std::fs::write(&path, &bytes).expect("rewrite artifact");
             corrupted += 1;
