@@ -1,12 +1,13 @@
 //! Model-hot-path benchmark: measures training and generation throughput
 //! (tokens/sec) and writes `BENCH_train.json`.
 //!
-//! The training path is timed once per f32 kernel family — the
-//! cache-`blocked` default and the vectorized `simd` lanes — so the
-//! speedup quantifies the vectorization. Blocked is bit-identical to the
-//! naive test-only oracle kernels and simd is deterministic
-//! (tests/determinism.rs and the model crate's property tests enforce
-//! both), so the fastest family is always safe to use.
+//! The training path is timed once per f32 kernel family — the exact
+//! `blocked` default and the lane-split `simd` opt-in. Both run the same
+//! register-tiled core for `matmul`/`matmul_tn`, so the speedup measures
+//! only what `simd`'s lane-split `matmul_nt`, row sweeps and polynomial
+//! exp buy. Blocked is bit-identical to the naive test-only oracle
+//! kernels and simd is deterministic (tests/determinism.rs and the model
+//! crate's property tests enforce both).
 //!
 //! Honours `PYRANET_SCALE` (`quick` for the CI smoke run, `full` default).
 
@@ -46,9 +47,9 @@ struct BenchReport {
     repeats: u64,
     /// SFT micro-budget training with the blocked kernels (default mode).
     train_blocked: PathReport,
-    /// Same workload with the vectorized simd kernels.
+    /// Same workload with the lane-split simd kernels.
     train_simd: PathReport,
-    /// Simd-kernel training speedup over the blocked kernels.
+    /// Simd-family training speedup over the blocked family.
     speedup_simd_vs_blocked: f64,
     /// Greedy generation with the KV cache (blocked kernels).
     generate: PathReport,

@@ -12,8 +12,8 @@
 //!   zero-copy KV fork.
 //! * **Batched decode.** [`DecodeSession::decode_batch`] steps every live
 //!   sequence of a problem together, so the per-token Q/K/V, FFN, and
-//!   logit projections become `[batch, d]` matmuls routed through the
-//!   session's [`KernelMode`] family of [`crate::tensor::kernels`]
+//!   logit projections become `[batch, d]` matmuls through the exact
+//!   tiled core of [`crate::tensor::kernels`] (or the int8 path)
 //!   instead of n independent vector-matrix products. Sequences retire
 //!   independently on `<eos>`.
 //! * **Zero per-token allocation.** Effective (LoRA-merged) weights are
@@ -22,14 +22,14 @@
 //!
 //! # Determinism
 //!
-//! In the f32 families ([`KernelMode::Blocked`] and `Simd` — whose forward
-//! matmul is AXPY-structured and preserves accumulation order) every
-//! kernel on this path accumulates each output element in ascending
-//! shared-dimension order — the same discipline as the training kernels —
-//! so a row of a batched matmul is bit-identical to the corresponding
-//! single-vector product, a forked sequence is bit-identical to one
-//! decoded from a fresh prefill, and a batch of sequences is bit-identical
-//! to the same sequences decoded one at a time. Property tests pin all
+//! In the f32 families ([`KernelMode::Blocked`] and `Simd`, which share
+//! one exact forward matmul) every kernel on this path accumulates each
+//! output element in ascending shared-dimension order — the same
+//! discipline as the training kernels — so a row of a batched matmul is
+//! bit-identical to the corresponding single-vector product, a forked
+//! sequence is bit-identical to one decoded from a fresh prefill, and a
+//! batch of sequences is bit-identical to the same sequences decoded one
+//! at a time. Property tests pin all
 //! three equivalences against the naive per-token decode loop, which
 //! survives only as a test-only oracle (it is not selectable at run
 //! time).
@@ -268,9 +268,8 @@ impl QuantWeights {
 }
 
 /// Routes one projection through either the int8 path (when the session
-/// quantized its weights) or the selected f32 kernel family.
+/// quantized its weights) or the exact f32 matmul every f32 family shares.
 fn project_into(
-    mode: KernelMode,
     qw: Option<&QuantizedMatrix>,
     a: &Matrix,
     w: &Matrix,
@@ -279,7 +278,7 @@ fn project_into(
 ) {
     match qw {
         Some(qw) => quant::qmatmul_rows_into(a, qw, out, xq),
-        None => kernels::matmul_into(mode, a, w, out),
+        None => kernels::matmul_into(a, w, out),
     }
 }
 
@@ -556,31 +555,9 @@ impl<'m> DecodeSession<'m> {
             set_rows(&mut sc.k, n);
             set_rows(&mut sc.v, n);
             let qw = self.quant.as_ref();
-            let mode = self.kernels;
-            project_into(
-                mode,
-                qw.map(|q| &q.wq[li]),
-                &sc.xn,
-                &self.w.wq[li],
-                &mut sc.q,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wk[li]),
-                &sc.xn,
-                &self.w.wk[li],
-                &mut sc.k,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wv[li]),
-                &sc.xn,
-                &self.w.wv[li],
-                &mut sc.v,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.wq[li]), &sc.xn, &self.w.wq[li], &mut sc.q, &mut sc.xq);
+            project_into(qw.map(|q| &q.wk[li]), &sc.xn, &self.w.wk[li], &mut sc.k, &mut sc.xq);
+            project_into(qw.map(|q| &q.wv[li]), &sc.xn, &self.w.wv[li], &mut sc.v, &mut sc.xq);
             kcache[li].copy_from_slice(&sc.k.data);
             vcache[li].copy_from_slice(&sc.v.data);
             set_rows(&mut sc.merged, n);
@@ -603,7 +580,6 @@ impl<'m> DecodeSession<'m> {
             }
             set_rows(&mut sc.proj, n);
             project_into(
-                mode,
                 qw.map(|q| &q.wo[li]),
                 &sc.merged,
                 &self.w.wo[li],
@@ -618,14 +594,7 @@ impl<'m> DecodeSession<'m> {
                 ln_row_into(&sc.x.data[t * d..(t + 1) * d], &mut sc.xn.data[t * d..(t + 1) * d]);
             }
             set_rows(&mut sc.h1, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w1[li]),
-                &sc.xn,
-                &self.w.w1[li],
-                &mut sc.h1,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.w1[li]), &sc.xn, &self.w.w1[li], &mut sc.h1, &mut sc.xq);
             // Int8 sessions take the polynomial gelu too — same
             // reproducible-not-bit-identical contract as their matmuls.
             if qw.is_some() {
@@ -638,14 +607,7 @@ impl<'m> DecodeSession<'m> {
                 }
             }
             set_rows(&mut sc.h2, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w2[li]),
-                &sc.h1,
-                &self.w.w2[li],
-                &mut sc.h2,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.w2[li]), &sc.h1, &self.w.w2[li], &mut sc.h2, &mut sc.xq);
             for (xv, pv) in sc.x.data.iter_mut().zip(&sc.h2.data) {
                 *xv += pv;
             }
@@ -793,31 +755,9 @@ impl<'m> DecodeSession<'m> {
             set_rows(&mut sc.k, n);
             set_rows(&mut sc.v, n);
             let qw = self.quant.as_ref();
-            let mode = self.kernels;
-            project_into(
-                mode,
-                qw.map(|q| &q.wq[li]),
-                &sc.xn,
-                &self.w.wq[li],
-                &mut sc.q,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wk[li]),
-                &sc.xn,
-                &self.w.wk[li],
-                &mut sc.k,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wv[li]),
-                &sc.xn,
-                &self.w.wv[li],
-                &mut sc.v,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.wq[li]), &sc.xn, &self.w.wq[li], &mut sc.q, &mut sc.xq);
+            project_into(qw.map(|q| &q.wk[li]), &sc.xn, &self.w.wk[li], &mut sc.k, &mut sc.xq);
+            project_into(qw.map(|q| &q.wv[li]), &sc.xn, &self.w.wv[li], &mut sc.v, &mut sc.xq);
             for (r, (seq, _)) in rows.iter_mut().enumerate() {
                 seq.k[li].extend_from_slice(&sc.k.data[r * d..(r + 1) * d]);
                 seq.v[li].extend_from_slice(&sc.v.data[r * d..(r + 1) * d]);
@@ -841,7 +781,6 @@ impl<'m> DecodeSession<'m> {
             }
             set_rows(&mut sc.proj, n);
             project_into(
-                mode,
                 qw.map(|q| &q.wo[li]),
                 &sc.merged,
                 &self.w.wo[li],
@@ -856,14 +795,7 @@ impl<'m> DecodeSession<'m> {
                 ln_row_into(&sc.x.data[r * d..(r + 1) * d], &mut sc.xn.data[r * d..(r + 1) * d]);
             }
             set_rows(&mut sc.h1, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w1[li]),
-                &sc.xn,
-                &self.w.w1[li],
-                &mut sc.h1,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.w1[li]), &sc.xn, &self.w.w1[li], &mut sc.h1, &mut sc.xq);
             // Int8 sessions take the polynomial gelu too — same
             // reproducible-not-bit-identical contract as their matmuls.
             if qw.is_some() {
@@ -876,14 +808,7 @@ impl<'m> DecodeSession<'m> {
                 }
             }
             set_rows(&mut sc.h2, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w2[li]),
-                &sc.h1,
-                &self.w.w2[li],
-                &mut sc.h2,
-                &mut sc.xq,
-            );
+            project_into(qw.map(|q| &q.w2[li]), &sc.h1, &self.w.w2[li], &mut sc.h2, &mut sc.xq);
             for (xv, pv) in sc.x.data.iter_mut().zip(&sc.h2.data) {
                 *xv += pv;
             }
@@ -894,7 +819,6 @@ impl<'m> DecodeSession<'m> {
         }
         set_rows(&mut sc.logits, n);
         project_into(
-            self.kernels,
             self.quant.as_ref().map(|q| &q.head),
             &sc.xn,
             self.w.head,

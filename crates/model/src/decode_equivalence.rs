@@ -122,9 +122,9 @@ proptest! {
     }
 
     /// A `Simd` session is bit-identical to the legacy f32 loop: the
-    /// decode path only uses the AXPY-structured forward matmul (which
-    /// preserves accumulation order in every f32 family) plus scalar
-    /// attention/layer-norm sweeps, so vectorized lanes change no bit.
+    /// decode path only uses the exact forward matmul (shared by every
+    /// f32 family) plus scalar attention/layer-norm sweeps, so the
+    /// family's lane-split kernels change no bit.
     #[test]
     fn simd_session_matches_legacy_loop(
         model_seed in 0u64..300,

@@ -66,15 +66,15 @@ impl Adapter {
     }
 
     /// The dense delta `(A·scale)·B` (used when merging and by tests),
-    /// computed through the shared matmul kernel of `mode` — exact in
-    /// every family (the forward matmul preserves accumulation order).
-    pub fn delta(&self, scale: f32, mode: crate::tensor::KernelMode) -> Matrix {
+    /// computed through the exact forward matmul every kernel family
+    /// shares.
+    pub fn delta(&self, scale: f32) -> Matrix {
         let mut scaled = self.a.clone();
         for v in scaled.data.iter_mut() {
             *v *= scale;
         }
         let mut out = Matrix::zeros(self.a.rows, self.b.cols);
-        crate::tensor::kernels::matmul_into(mode, &scaled, &self.b, &mut out);
+        crate::tensor::kernels::matmul_into(&scaled, &self.b, &mut out);
         out
     }
 }
@@ -105,7 +105,7 @@ mod tests {
     fn fresh_adapter_is_a_noop() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let ad = Adapter::new(0, 8, 8, &LoraConfig::default(), &mut rng);
-        let d = ad.delta(LoraConfig::default().scale(), crate::tensor::KernelMode::Blocked);
+        let d = ad.delta(LoraConfig::default().scale());
         assert!(d.data.iter().all(|&x| x == 0.0), "B starts at zero");
     }
 
@@ -121,13 +121,9 @@ mod tests {
         let mut ad = Adapter::new(3, 6, 10, &LoraConfig { rank: 2, alpha: 4.0 }, &mut rng);
         // poke B so the delta is nonzero
         ad.b.data[0] = 1.0;
-        let d = ad.delta(2.0, crate::tensor::KernelMode::Blocked);
+        let d = ad.delta(2.0);
         assert_eq!((d.rows, d.cols), (6, 10));
         assert!(d.data.iter().any(|&x| x != 0.0));
-        // every kernel family computes the same delta bit-for-bit
-        for mode in [crate::tensor::KernelMode::Simd, crate::tensor::KernelMode::QuantizedInt8] {
-            assert_eq!(ad.delta(2.0, mode), d, "{mode} delta diverged");
-        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! pinned against.
 //!
 //! Each function here is the pre-optimization code, kept verbatim as a
-//! specification rather than as a selectable runtime mode: the blocked
-//! matmul kernels are property-tested bit-identical to the naive triple
-//! loops, and the [`DecodeSession`](crate::DecodeSession) engine is
+//! specification rather than as a selectable runtime mode: the exact
+//! register-tiled matmul core (every family's `matmul`/`matmul_tn`, and
+//! `Blocked`'s `matmul_nt`) is property-tested bit-identical to the naive
+//! triple loops, and the [`DecodeSession`](crate::DecodeSession) engine is
 //! property-tested bit-identical to the per-token [`generate_legacy`]
 //! loop. Nothing outside `cfg(test)` can reach them.
 

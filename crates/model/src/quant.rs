@@ -289,7 +289,7 @@ mod tests {
             let mut xq = Vec::new();
             qmatmul_rows_into(&a, &q, &mut quantized, &mut xq);
             let mut exact = Matrix::zeros(m, n);
-            kernels::matmul_blocked(&a, &w, &mut exact);
+            kernels::matmul_into(&a, &w, &mut exact);
             // Per-term error is ≤ (|w|·sa + |a|·sw + sa·sw)/2 with
             // s = absmax/127; bound the k-term sum generously.
             let amax = a.data.iter().fold(0.0f32, |x, v| x.max(v.abs()));

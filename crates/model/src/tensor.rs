@@ -9,16 +9,17 @@
 //!
 //! The matmul family (forward and backward) runs through the kernels in
 //! [`kernels`], selected per graph by [`KernelMode`] (see
-//! [`Graph::with_kernels`]). The `Blocked` family accumulates each output
-//! element in ascending shared-dimension order, and the property tests
-//! pin it **bit-identical** on finite inputs to the naive triple loops,
-//! which survive only as test-only oracles. The `Simd` family keeps that
-//! order (and hence bit-exactness) for `matmul` and `matmul_tn`, but
-//! trades it for per-lane accumulators in `matmul_nt` and the
-//! softmax/layer-norm statistics sweeps — still deterministic, no longer
-//! bit-identical; every trade is documented on the kernel itself and in
-//! DESIGN.md. Softmax, layer norm, and cross-entropy are fused into two
-//! sweeps per row (one read-only statistics sweep, one write sweep).
+//! [`Graph::with_kernels`]). One exact register-tiled core accumulates
+//! each output element in ascending shared-dimension order, and the
+//! property tests pin it **bit-identical** on finite inputs to the naive
+//! triple loops, which survive only as test-only oracles. Every family
+//! runs it for `matmul` and `matmul_tn`, and the default `Blocked` family
+//! for `matmul_nt` too. The `Simd` family trades exactness for per-lane
+//! accumulators in `matmul_nt` and the softmax/layer-norm statistics
+//! sweeps — still deterministic, no longer bit-identical; every trade is
+//! documented on the kernel itself and in DESIGN.md. Softmax, layer norm,
+//! and cross-entropy are fused into two sweeps per row (one read-only
+//! statistics sweep, one write sweep).
 
 /// A node id on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -64,16 +65,20 @@ impl Matrix {
 
 /// Which kernel family the graph ops (and the decode engine) dispatch to.
 ///
-/// `Blocked` (the default) is the cache-friendly production path. It
-/// accumulates in the same per-element order as the pre-optimization
-/// naive loops, which the property tests keep as test-only oracles:
+/// Every family shares one exact, register-tiled f32 core for `matmul`
+/// and `matmul_tn` (see [`kernels`]). It accumulates in the same
+/// per-element order as the pre-optimization naive loops, which the
+/// property tests keep as test-only oracles.
+///
+/// `Blocked` (the default) runs that core for `matmul_nt` too (after
+/// transposing `b`) and keeps the scalar softmax/layer-norm sweeps:
 /// **Blocked ≡ naive bit-for-bit on finite inputs**.
 ///
-/// `Simd` is the explicitly vectorized f32 family: `matmul`/`matmul_tn`
-/// keep ascending shared-dim accumulation (still bit-identical to
-/// Blocked), while `matmul_nt` and the softmax/layer-norm statistics
-/// sweeps use per-lane accumulators — deterministic, but no longer
-/// bit-identical; selecting `Simd` is the opt-in for that trade.
+/// `Simd` differs only where a sequential f32 reduction forbids
+/// vectorization: `matmul_nt` and the softmax/layer-norm statistics
+/// sweeps use per-lane accumulators, and gelu/softmax use a polynomial
+/// `exp` — deterministic, but no longer bit-identical; selecting `Simd`
+/// is the opt-in for that trade.
 ///
 /// `QuantizedInt8` quantizes the effective weights of a
 /// [`DecodeSession`](crate::DecodeSession) to per-row absmax int8 (see
@@ -83,10 +88,10 @@ impl Matrix {
 /// f32 `Simd` kernels — training weights are never quantized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
-    /// Blocked, loop-reordered kernels with fused AXPY inner loops.
+    /// The exact family: bit-identical to the naive oracles.
     #[default]
     Blocked,
-    /// Vectorized lane-unrolled f32 kernels (exactness trades documented
+    /// Lane-split `matmul_nt` and row sweeps (exactness trades documented
     /// per kernel).
     Simd,
     /// Int8 weight-quantized decode; f32 `Simd` kernels elsewhere.
@@ -137,269 +142,194 @@ impl std::str::FromStr for KernelMode {
 /// * [`matmul_nt_into`]: `out[m,n] = a[m,k] · b[n,k]ᵀ`
 /// * [`matmul_tn_into`]: `out[m,n] = a[r,m]ᵀ · c[r,n]`
 ///
-/// Each `*_into` dispatches on an explicit [`KernelMode`]; the `*_blocked`
-/// and `*_simd` variants are public so property tests can compare them
-/// directly. The blocked implementations (and the simd
-/// `matmul`/`matmul_tn`) accumulate each output element in ascending
-/// shared-dimension order and agree bit-for-bit on finite inputs with the
-/// naive test-only oracles; [`matmul_nt_simd`] documents the one
-/// f32-matmul exactness trade.
+/// One register-tiled i-k-j core computes all three. It accumulates each
+/// output element as one chained f32 sum in ascending shared-dimension
+/// order, so on finite inputs it agrees bit-for-bit with the naive
+/// test-only oracles, and `matmul`/`matmul_tn` are the same kernels in
+/// every [`KernelMode`]. Only `a · bᵀ` dispatches on the family:
+/// `Blocked` transposes `b` and runs the exact core, while `Simd`/int8
+/// run the lane-split [`matmul_nt_simd`], the one f32-matmul exactness
+/// trade.
 pub mod kernels {
     use super::{KernelMode, Matrix};
 
-    /// Rows of `b` kept hot per k-tile in the blocked matmul.
-    const KC: usize = 64;
-    /// Column-tile width (f32 elements) for the blocked matmul/tn kernels.
-    const NC: usize = 256;
-    /// Rows of `b` reused per tile in the blocked nt kernel.
-    const JT: usize = 32;
-    /// f32 lanes the simd kernels unroll to (one AVX2 register; a
-    /// multiple of the NEON width).
+    /// f32 lanes the lane-split kernels and sweeps unroll to (one AVX2
+    /// register; a multiple of the NEON width).
     pub const LANES: usize = 8;
+    /// Width of the wide register tile: one output row × 32 columns, i.e.
+    /// eight SSE vectors of accumulators held in registers across the
+    /// whole shared-dimension loop. One broadcast of `a` feeds 32
+    /// multiply-adds, and the 32 independent chains hide FP-add latency.
+    const RT: usize = 32;
+    /// Rows of the narrow tile that covers the `n % RT` column tail.
+    /// Four rows reuse each loaded strip of `b` four times, so narrow
+    /// outputs (the per-head `[T,T]·[T,20]`) keep eight chains live.
+    const TR: usize = 4;
+    /// Columns of the narrow tail tile (two SSE vectors).
+    const TC: usize = 8;
 
-    #[inline]
-    fn axpy(out: &mut [f32], x: &[f32], a: f32) {
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o += a * v;
-        }
-    }
-
-    /// `out = a · b`, dispatching on the kernel family.
-    pub fn matmul_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        match mode {
-            KernelMode::Blocked => matmul_blocked(a, b, out),
-            KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_simd(a, b, out),
-        }
-    }
-
-    /// `out = a · bᵀ`, dispatching on the kernel family.
-    pub fn matmul_nt_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        match mode {
-            KernelMode::Blocked => matmul_nt_blocked(a, b, out),
-            KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_nt_simd(a, b, out),
-        }
-    }
-
-    /// `out = aᵀ · c`, dispatching on the kernel family.
-    pub fn matmul_tn_into(mode: KernelMode, a: &Matrix, c: &Matrix, out: &mut Matrix) {
-        match mode {
-            KernelMode::Blocked => matmul_tn_blocked(a, c, out),
-            KernelMode::Simd | KernelMode::QuantizedInt8 => matmul_tn_simd(a, c, out),
-        }
-    }
-
-    /// Blocked i-k-j matmul: k-tiles of `b` stay cache-hot across the rows
-    /// of `a`, column tiles bound the working set, and the inner loop is a
-    /// fused AXPY over a contiguous row slice of `b`.
-    pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    /// `out = a · b`: the exact tiled core, the same in every family.
+    pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(a.cols, b.rows);
         debug_assert_eq!((out.rows, out.cols), (a.rows, b.cols));
-        let (m, k, n) = (a.rows, a.cols, b.cols);
-        out.data.fill(0.0);
-        for col0 in (0..n).step_by(NC) {
-            let cols = NC.min(n - col0);
-            for k0 in (0..k).step_by(KC) {
-                let kend = (k0 + KC).min(k);
-                for i in 0..m {
-                    let arow = &a.data[i * k..(i + 1) * k];
-                    let orow = &mut out.data[i * n + col0..i * n + col0 + cols];
-                    for (kk, &av) in arow.iter().enumerate().take(kend).skip(k0) {
-                        let brow = &b.data[kk * n + col0..kk * n + col0 + cols];
-                        axpy(orow, brow, av);
-                    }
-                }
-            }
-        }
+        gemm::<false>(&a.data, a.rows, a.cols, &b.data, b.cols, &mut out.data);
     }
 
-    /// Blocked `a · bᵀ`: a tile of `b` rows is reused across every row of
-    /// `a`, and four dot products run at once so each `a` row is loaded
-    /// once per four `b` rows.
-    pub fn matmul_nt_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    /// `out = a · bᵀ`, dispatching on the kernel family. `Blocked`
+    /// transposes `b` (O(n·k), into a buffer the size of `b`) and runs the
+    /// exact core, so each element is the same ascending-k chained sum as
+    /// a sequential dot product. The buffer is allocated per call: a
+    /// per-thread buffer reused across calls ran no faster and raised the
+    /// peak RSS of a quick-scale fine-tune + eval cell by about 25%.
+    pub fn matmul_nt_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(a.cols, b.cols);
         debug_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
-        let (m, k, n) = (a.rows, a.cols, b.rows);
-        for j0 in (0..n).step_by(JT) {
-            let jend = (j0 + JT).min(n);
-            for i in 0..m {
-                let arow = &a.data[i * k..(i + 1) * k];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                let mut j = j0;
-                while j + 4 <= jend {
-                    let b0 = &b.data[j * k..(j + 1) * k];
-                    let b1 = &b.data[(j + 1) * k..(j + 2) * k];
-                    let b2 = &b.data[(j + 2) * k..(j + 3) * k];
-                    let b3 = &b.data[(j + 3) * k..(j + 4) * k];
-                    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    for kk in 0..k {
-                        let av = arow[kk];
-                        s0 += av * b0[kk];
-                        s1 += av * b1[kk];
-                        s2 += av * b2[kk];
-                        s3 += av * b3[kk];
-                    }
-                    orow[j] = s0;
-                    orow[j + 1] = s1;
-                    orow[j + 2] = s2;
-                    orow[j + 3] = s3;
-                    j += 4;
-                }
-                while j < jend {
-                    let brow = &b.data[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += arow[kk] * brow[kk];
-                    }
-                    orow[j] = acc;
-                    j += 1;
-                }
-            }
+        if mode != KernelMode::Blocked {
+            return matmul_nt_simd(a, b, out);
         }
+        let k = b.cols;
+        let mut bt = Vec::with_capacity(b.data.len());
+        for kk in 0..k {
+            bt.extend(b.data[kk..].iter().step_by(k).copied());
+        }
+        gemm::<false>(&a.data, a.rows, k, &bt, b.rows, &mut out.data);
     }
 
-    /// Blocked `aᵀ · c`: `out[j, :] += a[r, j] * c[r, :]` with the `r` loop
-    /// outermost, so both operands stream contiguously and the inner loop
-    /// is a fused AXPY; column tiles bound the `out` working set.
-    pub fn matmul_tn_blocked(a: &Matrix, c: &Matrix, out: &mut Matrix) {
+    /// `out = aᵀ · c`: the exact tiled core reading `a` column-wise in
+    /// place (`a[r][i..i+TR]` is contiguous), the same in every family.
+    pub fn matmul_tn_into(a: &Matrix, c: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(a.rows, c.rows);
         debug_assert_eq!((out.rows, out.cols), (a.cols, c.cols));
-        let (r_rows, m, n) = (a.rows, a.cols, c.cols);
-        out.data.fill(0.0);
-        for col0 in (0..n).step_by(NC) {
-            let cols = NC.min(n - col0);
-            for r in 0..r_rows {
-                let arow = &a.data[r * m..(r + 1) * m];
-                let crow = &c.data[r * n + col0..r * n + col0 + cols];
-                for (j, &av) in arow.iter().enumerate() {
-                    let orow = &mut out.data[j * n + col0..j * n + col0 + cols];
-                    axpy(orow, crow, av);
-                }
-            }
-        }
+        gemm::<true>(&a.data, a.cols, a.rows, &c.data, c.cols, &mut out.data);
     }
 
-    // ---- simd family ----
-    //
-    // "Simd" here means loops shaped so the autovectorizer emits packed
-    // f32 arithmetic on stable Rust (no std::simd): contiguous unit-stride
-    // inner loops, LANES-wide unrolls, and — where a sequential f32
-    // reduction would forbid vectorization outright — per-lane
-    // accumulators. Each kernel states whether it preserves the ascending
-    // shared-dim accumulation order the bit-exactness pins rely on.
-
-    /// Register-tile width of the vectorized matmuls: 32 f32 lanes, i.e.
-    /// eight SSE (or four AVX) vectors of accumulators that live entirely
-    /// in registers across the shared-dim loop.
-    const RT: usize = 32;
-
-    /// Vectorized i-k-j matmul, **bit-identical** to [`matmul_blocked`].
+    /// `out[m,n] = A · b[k,n]` where `A[i][kk]` is `a[i*k + kk]`, or
+    /// `a[kk*m + i]` when `TRANS` (i.e. `a` holds `Aᵀ`).
     ///
-    /// Register-tiled: for each output row a 32-wide block of output
-    /// elements is accumulated in a `[f32; RT]` that the compiler keeps in
-    /// vector registers across the *entire* k loop, so `out` is stored
-    /// exactly once per element instead of once per k step. Per-element
-    /// accumulation is still one chained sum in ascending-k order — the
-    /// same f32 operation sequence as the blocked kernel — while the 32
-    /// independent element chains hide FP-add latency. The fixed-size
-    /// `[f32; RT]` rows are what the autovectorizer turns into packed
-    /// multiply-adds; a dynamic-width epilogue covers `n % RT` columns.
-    pub fn matmul_simd(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(a.cols, b.rows);
-        debug_assert_eq!((out.rows, out.cols), (a.rows, b.cols));
-        let (m, k, n) = (a.rows, a.cols, b.cols);
-        // Narrow-output path (n ≤ RT/2, e.g. the per-head [T,T]·[T,dₕ]
-        // attention backward): a single n-wide accumulator row leaves most
-        // lanes idle, so tile 4 *output rows* instead — 4·n lanes live,
-        // four independent chains per column, still ascending-k per
-        // element.
-        if n <= RT / 2 {
-            const NB: usize = RT / 2;
-            let mut i = 0;
-            while i + 4 <= m {
-                let a0 = &a.data[i * k..(i + 1) * k];
-                let a1 = &a.data[(i + 1) * k..(i + 2) * k];
-                let a2 = &a.data[(i + 2) * k..(i + 3) * k];
-                let a3 = &a.data[(i + 3) * k..(i + 4) * k];
-                let mut t0 = [0.0f32; NB];
-                let mut t1 = [0.0f32; NB];
-                let mut t2 = [0.0f32; NB];
-                let mut t3 = [0.0f32; NB];
-                for kk in 0..k {
-                    let brow = &b.data[kk * n..(kk + 1) * n];
-                    for (t, &x) in t0[..n].iter_mut().zip(brow) {
-                        *t += a0[kk] * x;
-                    }
-                    for (t, &x) in t1[..n].iter_mut().zip(brow) {
-                        *t += a1[kk] * x;
-                    }
-                    for (t, &x) in t2[..n].iter_mut().zip(brow) {
-                        *t += a2[kk] * x;
-                    }
-                    for (t, &x) in t3[..n].iter_mut().zip(brow) {
-                        *t += a3[kk] * x;
-                    }
-                }
-                out.data[i * n..(i + 1) * n].copy_from_slice(&t0[..n]);
-                out.data[(i + 1) * n..(i + 2) * n].copy_from_slice(&t1[..n]);
-                out.data[(i + 2) * n..(i + 3) * n].copy_from_slice(&t2[..n]);
-                out.data[(i + 3) * n..(i + 4) * n].copy_from_slice(&t3[..n]);
-                i += 4;
+    /// Columns below the last multiple of [`RT`] run one row at a time in
+    /// [`RT`]-wide tiles; the remaining columns run in [`TR`]×[`TC`]
+    /// tiles. A final tile that would overhang the matrix is shifted back
+    /// to end at its last row or column instead: the overlap is computed
+    /// twice with the same operations, hence the same bits. Every tile
+    /// has a fixed width, so no shape falls into a dynamic-width loop.
+    fn gemm<const TRANS: bool>(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &[f32],
+        n: usize,
+        out: &mut [f32],
+    ) {
+        if n == 0 {
+            return;
+        }
+        // Column strips outermost: a k×RT strip of `b` stays in L1
+        // across every row of `a`.
+        let wide = n - n % RT;
+        for j0 in (0..wide).step_by(RT) {
+            for i in 0..m {
+                tile::<1, RT, TRANS>(a, m, k, i, b, n, j0, out);
             }
-            while i < m {
-                let arow = &a.data[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; NB];
-                for (kk, &av) in arow.iter().enumerate() {
-                    for (t, &x) in acc[..n].iter_mut().zip(&b.data[kk * n..(kk + 1) * n]) {
-                        *t += av * x;
-                    }
-                }
-                out.data[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
-                i += 1;
+        }
+        if wide == n {
+            return;
+        }
+        if m < TR {
+            for i in 0..m {
+                tail_tiles::<1, TRANS>(a, m, k, i, b, n, wide, out);
             }
             return;
         }
-        for j0 in (0..n).step_by(RT) {
-            if j0 + RT <= n {
-                for i in 0..m {
-                    let arow = &a.data[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; RT];
-                    for (kk, &av) in arow.iter().enumerate() {
-                        let brow: &[f32; RT] =
-                            b.data[kk * n + j0..kk * n + j0 + RT].try_into().unwrap();
-                        for (t, &x) in acc.iter_mut().zip(brow) {
-                            *t += av * x;
-                        }
+        let mut i = 0;
+        while i < m {
+            let i0 = i.min(m - TR);
+            tail_tiles::<TR, TRANS>(a, m, k, i0, b, n, wide, out);
+            i = i0 + TR;
+        }
+    }
+
+    /// Rows `i0..i0+R` of columns `from..n`, in [`TC`]-wide tiles (the
+    /// last one shifted back to end at `n`), or one column at a time
+    /// when the whole matrix is narrower than a tile.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tail_tiles<const R: usize, const TRANS: bool>(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        from: usize,
+        out: &mut [f32],
+    ) {
+        if n < TC {
+            for j in from..n {
+                tile::<R, 1, TRANS>(a, m, k, i0, b, n, j, out);
+            }
+            return;
+        }
+        let mut j = from;
+        while j < n {
+            let j0 = j.min(n - TC);
+            tile::<R, TC, TRANS>(a, m, k, i0, b, n, j0, out);
+            j = j0 + TC;
+        }
+    }
+
+    /// One `R`×`C` register tile: `out[i0+r][j0+c]` for `r < R`, `c < C`,
+    /// each accumulated from `0.0` over ascending `kk` in a fixed-size
+    /// `[[f32; C]; R]` that the compiler keeps in vector registers, and
+    /// stored once at the end.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize, const C: usize, const TRANS: bool>(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        i0: usize,
+        b: &[f32],
+        n: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        let mut acc = [[0.0f32; C]; R];
+        if TRANS {
+            for (acol, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+                let acol: &[f32; R] = acol[i0..i0 + R].try_into().expect("tile inside a");
+                let brow: &[f32; C] = brow[j0..j0 + C].try_into().expect("tile inside b");
+                for (acc, &av) in acc.iter_mut().zip(acol) {
+                    for (t, &x) in acc.iter_mut().zip(brow) {
+                        *t += av * x;
                     }
-                    out.data[i * n + j0..i * n + j0 + RT].copy_from_slice(&acc);
-                }
-            } else {
-                let w = n - j0;
-                for i in 0..m {
-                    let arow = &a.data[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; RT];
-                    for (kk, &av) in arow.iter().enumerate() {
-                        let brow = &b.data[kk * n + j0..kk * n + j0 + w];
-                        for (t, &x) in acc[..w].iter_mut().zip(brow) {
-                            *t += av * x;
-                        }
-                    }
-                    out.data[i * n + j0..i * n + j0 + w].copy_from_slice(&acc[..w]);
                 }
             }
+        } else {
+            let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+            for (kk, brow) in b.chunks_exact(n).enumerate() {
+                let brow: &[f32; C] = brow[j0..j0 + C].try_into().expect("tile inside b");
+                for (acc, row) in acc.iter_mut().zip(&rows) {
+                    let av = row[kk];
+                    for (t, &x) in acc.iter_mut().zip(brow) {
+                        *t += av * x;
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            out[(i0 + r) * n + j0..(i0 + r) * n + j0 + C].copy_from_slice(acc);
         }
     }
 
     /// Vectorized `a · bᵀ` — deterministic but **not** bit-identical to
-    /// [`matmul_nt_blocked`].
+    /// the exact [`matmul_nt_into`] path of `Blocked`.
     ///
     /// Each dot product accumulates into [`LANES`] independent per-lane
     /// partials over the shared dimension ([`dot_lanes`]), reduced in a
-    /// fixed tree order. A single-accumulator f32 dot cannot be
-    /// vectorized at all (f32 addition is non-associative), so this is
-    /// the one f32 matmul where `Simd` trades bit-exactness for speed;
-    /// selecting [`KernelMode::Simd`] is the opt-in. Used for attention
-    /// scores and the dA backward of `matmul` (including the vocab-wide
-    /// logits dA, the dominant backward cost).
+    /// fixed tree order. This is the one f32 matmul where `Simd` trades
+    /// bit-exactness for speed; selecting [`KernelMode::Simd`] is the
+    /// opt-in. Used for attention scores and the dA backward of `matmul`
+    /// (including the vocab-wide logits dA).
     pub fn matmul_nt_simd(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(a.cols, b.cols);
         debug_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
@@ -415,6 +345,9 @@ pub mod kernels {
             }
         }
     }
+
+    /// Rows of `b` reused per tile in [`matmul_nt_simd`].
+    const JT: usize = 32;
 
     /// Lane-split f32 dot product with a fixed reduction tree.
     /// Deterministic; reordered relative to a sequential dot.
@@ -435,107 +368,6 @@ pub mod kernels {
         ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
             + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]))
             + tail
-    }
-
-    /// Vectorized `aᵀ · c`, **bit-identical** to [`matmul_tn_blocked`].
-    ///
-    /// Register-tiled like [`matmul_simd`]: each output row `j` of `aᵀc`
-    /// accumulates a 32-wide column block in a `[f32; RT]` held in vector
-    /// registers across the whole r loop, with the scalar `a[r][j]`
-    /// broadcast against a contiguous strip of `c`'s row r. Per-element
-    /// accumulation order stays ascending-r — the same chained f32 sum the
-    /// blocked kernel produces — and the 32-column strip of `c` walked by
-    /// the r loop fits L1, so it is reused across all `m` output rows.
-    pub fn matmul_tn_simd(a: &Matrix, c: &Matrix, out: &mut Matrix) {
-        debug_assert_eq!(a.rows, c.rows);
-        debug_assert_eq!((out.rows, out.cols), (a.cols, c.cols));
-        let (r_rows, m, n) = (a.rows, a.cols, c.cols);
-        // Transpose `a` once so the hot r loop reads a[·][j] contiguously
-        // instead of striding by m per step. O(r·m) against the
-        // O(r·m·n) multiply, and the accumulation order is untouched.
-        let mut at = vec![0.0f32; r_rows * m];
-        for r in 0..r_rows {
-            for j in 0..m {
-                at[j * r_rows + r] = a.data[r * m + j];
-            }
-        }
-        // Narrow-output path, mirroring `matmul_simd`: tile 4 output rows
-        // so 4·n accumulator lanes stay live; ascending-r per element.
-        if n <= RT / 2 {
-            const NB: usize = RT / 2;
-            let mut j = 0;
-            while j + 4 <= m {
-                let a0 = &at[j * r_rows..(j + 1) * r_rows];
-                let a1 = &at[(j + 1) * r_rows..(j + 2) * r_rows];
-                let a2 = &at[(j + 2) * r_rows..(j + 3) * r_rows];
-                let a3 = &at[(j + 3) * r_rows..(j + 4) * r_rows];
-                let mut t0 = [0.0f32; NB];
-                let mut t1 = [0.0f32; NB];
-                let mut t2 = [0.0f32; NB];
-                let mut t3 = [0.0f32; NB];
-                for r in 0..r_rows {
-                    let crow = &c.data[r * n..(r + 1) * n];
-                    for (t, &x) in t0[..n].iter_mut().zip(crow) {
-                        *t += a0[r] * x;
-                    }
-                    for (t, &x) in t1[..n].iter_mut().zip(crow) {
-                        *t += a1[r] * x;
-                    }
-                    for (t, &x) in t2[..n].iter_mut().zip(crow) {
-                        *t += a2[r] * x;
-                    }
-                    for (t, &x) in t3[..n].iter_mut().zip(crow) {
-                        *t += a3[r] * x;
-                    }
-                }
-                out.data[j * n..(j + 1) * n].copy_from_slice(&t0[..n]);
-                out.data[(j + 1) * n..(j + 2) * n].copy_from_slice(&t1[..n]);
-                out.data[(j + 2) * n..(j + 3) * n].copy_from_slice(&t2[..n]);
-                out.data[(j + 3) * n..(j + 4) * n].copy_from_slice(&t3[..n]);
-                j += 4;
-            }
-            while j < m {
-                let arow = &at[j * r_rows..(j + 1) * r_rows];
-                let mut acc = [0.0f32; NB];
-                for (r, &av) in arow.iter().enumerate() {
-                    for (t, &x) in acc[..n].iter_mut().zip(&c.data[r * n..(r + 1) * n]) {
-                        *t += av * x;
-                    }
-                }
-                out.data[j * n..(j + 1) * n].copy_from_slice(&acc[..n]);
-                j += 1;
-            }
-            return;
-        }
-        for col0 in (0..n).step_by(RT) {
-            if col0 + RT <= n {
-                for j in 0..m {
-                    let arow = &at[j * r_rows..(j + 1) * r_rows];
-                    let mut acc = [0.0f32; RT];
-                    for (r, &av) in arow.iter().enumerate() {
-                        let crow: &[f32; RT] =
-                            c.data[r * n + col0..r * n + col0 + RT].try_into().unwrap();
-                        for (t, &x) in acc.iter_mut().zip(crow) {
-                            *t += av * x;
-                        }
-                    }
-                    out.data[j * n + col0..j * n + col0 + RT].copy_from_slice(&acc);
-                }
-            } else {
-                let w = n - col0;
-                for j in 0..m {
-                    let arow = &at[j * r_rows..(j + 1) * r_rows];
-                    let mut acc = [0.0f32; RT];
-                    for (r, &av) in arow.iter().enumerate() {
-                        let crow = &c.data[r * n + col0..r * n + col0 + w];
-                        for (t, &x) in acc[..w].iter_mut().zip(crow) {
-                            *t += av * x;
-                        }
-                    }
-                    out.data[j * n + col0..j * n + col0 + w].copy_from_slice(&acc[..w]);
-                }
-            }
-        }
     }
 
     // ---- lane-parallel row sweeps (Simd/int8 graph modes) ----
@@ -810,7 +642,7 @@ impl Graph {
         {
             let av = &self.nodes[a.0].value;
             let bv = &self.nodes[b.0].value;
-            kernels::matmul_into(self.kernels, av, bv, &mut out);
+            kernels::matmul_into(av, bv, &mut out);
         }
         let needs = self.needs(a) || self.needs(b);
         self.push(out, Op::MatMul(a, b), needs)
@@ -1133,7 +965,7 @@ impl Graph {
                 // dB = Aᵀ · dC
                 if self.needs(b) {
                     let mut db = Matrix::zeros(bv.rows, bv.cols);
-                    kernels::matmul_tn_into(mode, av, grad, &mut db);
+                    kernels::matmul_tn_into(av, grad, &mut db);
                     deltas.push((b, db));
                 }
             }
@@ -1144,12 +976,12 @@ impl Graph {
                 // C = A Bᵀ: dA = dC · B ; dB = dCᵀ · A
                 if self.needs(a) {
                     let mut da = Matrix::zeros(av.rows, av.cols);
-                    kernels::matmul_into(mode, grad, bv, &mut da);
+                    kernels::matmul_into(grad, bv, &mut da);
                     deltas.push((a, da));
                 }
                 if self.needs(b) {
                     let mut db = Matrix::zeros(bv.rows, bv.cols);
-                    kernels::matmul_tn_into(mode, grad, av, &mut db);
+                    kernels::matmul_tn_into(grad, av, &mut db);
                     deltas.push((b, db));
                 }
             }
@@ -1669,7 +1501,11 @@ mod tests {
         let _ = Matrix::new(2, 2, vec![1.0; 3]);
     }
 
-    // ---- blocked-vs-naive kernel equivalence ----
+    // ---- exact-kernel vs naive-oracle equivalence ----
+    //
+    // The ranges reach the training shapes: m up to 64 covers every
+    // row-tile tail, k up to 600 the vocab-wide contraction, and n up to
+    // 600 the logits width and every column-tile tail.
 
     /// Like [`seeded`] but with ~3/4 of the entries forced to exact zero,
     /// so the naive kernel's zero-skip path is exercised.
@@ -1687,126 +1523,130 @@ mod tests {
         m
     }
 
+    /// Like [`seeded_zero_heavy`] with about half of the zeros negated,
+    /// so `±0.0` products reach the accumulators.
+    fn seeded_signed_zeros(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = seeded_zero_heavy(rows, cols, seed);
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        for v in m.data.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if *v == 0.0 && x & 1 == 1 {
+                *v = -0.0;
+            }
+        }
+        m
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|x| x.to_bits()).collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Forward matmul: the blocked kernel and the naive oracle agree
-        /// bit-for-bit (same per-element accumulation order).
+        /// Forward matmul: the exact tiled kernel and the naive oracle
+        /// agree bit-for-bit (same per-element accumulation order).
         #[test]
         fn blocked_matmul_is_bit_identical_to_reference(
-            m in 1usize..9, k in 1usize..70, n in 1usize..300,
+            m in 1usize..65, k in 1usize..601, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
             let a = seeded(m, k, seed);
             let b = seeded(k, n, seed ^ 0xABCD);
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
-            kernels::matmul_blocked(&a, &b, &mut fast);
+            kernels::matmul_into(&a, &b, &mut fast);
             oracle::matmul_reference(&a, &b, &mut naive);
-            prop_assert_eq!(
-                fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
-        /// `A · Bᵀ` (attention scores / dA of matmul): bit-identical.
+        /// `A · Bᵀ` (attention scores / dA of matmul) in the `Blocked`
+        /// family: bit-identical.
         #[test]
         fn blocked_matmul_nt_is_bit_identical_to_reference(
-            m in 1usize..9, k in 1usize..70, n in 1usize..40,
+            m in 1usize..65, k in 1usize..601, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
             let a = seeded(m, k, seed);
             let b = seeded(n, k, seed ^ 0x1234);
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
-            kernels::matmul_nt_blocked(&a, &b, &mut fast);
+            kernels::matmul_nt_into(KernelMode::Blocked, &a, &b, &mut fast);
             oracle::matmul_nt_reference(&a, &b, &mut naive);
-            prop_assert_eq!(
-                fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
         /// `Aᵀ · C` (dB of both matmuls): bit-identical.
         #[test]
         fn blocked_matmul_tn_is_bit_identical_to_reference(
-            r in 1usize..40, m in 1usize..9, n in 1usize..300,
+            r in 1usize..601, m in 1usize..65, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
             let a = seeded(r, m, seed);
             let c = seeded(r, n, seed ^ 0x7777);
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
-            kernels::matmul_tn_blocked(&a, &c, &mut fast);
+            kernels::matmul_tn_into(&a, &c, &mut fast);
             oracle::matmul_tn_reference(&a, &c, &mut naive);
-            prop_assert_eq!(
-                fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
         /// Zero-heavy operands (where the naive forward kernel takes its
         /// skip path) still agree bit-for-bit.
         #[test]
         fn zero_heavy_matmul_is_bit_identical(
-            m in 1usize..6, k in 1usize..20, n in 1usize..50,
+            m in 1usize..65, k in 1usize..601, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
             let a = seeded_zero_heavy(m, k, seed ^ 0x5EED);
             let b = seeded(k, n, seed);
             let mut fast = Matrix::zeros(m, n);
             let mut naive = Matrix::zeros(m, n);
-            kernels::matmul_blocked(&a, &b, &mut fast);
+            kernels::matmul_into(&a, &b, &mut fast);
             oracle::matmul_reference(&a, &b, &mut naive);
-            prop_assert_eq!(
-                fast.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                naive.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
-        // ---- simd-vs-blocked kernel pins ----
+        // ---- the forward and tn kernels every family shares ----
 
-        /// Simd matmul keeps ascending-k accumulation per element: pinned
-        /// bit-identical to the blocked kernel.
+        /// `Simd` runs the same exact forward matmul as `Blocked`. Signed
+        /// zeros in both operands pin that the kernel's `+0.0` start and
+        /// unskipped `±0.0` products give the oracle's bits.
         #[test]
         fn simd_matmul_is_bit_identical_to_blocked(
-            m in 1usize..9, k in 1usize..70, n in 1usize..300,
+            m in 1usize..65, k in 1usize..601, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
-            let a = seeded(m, k, seed);
-            let b = seeded(k, n, seed ^ 0xABCD);
-            let mut simd = Matrix::zeros(m, n);
-            let mut blocked = Matrix::zeros(m, n);
-            kernels::matmul_simd(&a, &b, &mut simd);
-            kernels::matmul_blocked(&a, &b, &mut blocked);
-            prop_assert_eq!(
-                simd.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                blocked.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            let a = seeded_signed_zeros(m, k, seed);
+            let b = seeded_signed_zeros(k, n, seed ^ 0xABCD);
+            let mut fast = Matrix::zeros(m, n);
+            let mut naive = Matrix::zeros(m, n);
+            kernels::matmul_into(&a, &b, &mut fast);
+            oracle::matmul_reference(&a, &b, &mut naive);
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
-        /// Simd `aᵀ · c` keeps ascending-r accumulation per element: pinned
-        /// bit-identical to the blocked kernel.
+        /// `Simd` runs the same exact `aᵀ · c` as `Blocked`; pinned with
+        /// signed-zero operands.
         #[test]
         fn simd_matmul_tn_is_bit_identical_to_blocked(
-            r in 1usize..40, m in 1usize..9, n in 1usize..300,
+            r in 1usize..601, m in 1usize..65, n in 1usize..601,
             seed in 0u64..1_000,
         ) {
-            let a = seeded(r, m, seed);
-            let c = seeded(r, n, seed ^ 0x7777);
-            let mut simd = Matrix::zeros(m, n);
-            let mut blocked = Matrix::zeros(m, n);
-            kernels::matmul_tn_simd(&a, &c, &mut simd);
-            kernels::matmul_tn_blocked(&a, &c, &mut blocked);
-            prop_assert_eq!(
-                simd.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                blocked.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            let a = seeded_signed_zeros(r, m, seed);
+            let c = seeded_signed_zeros(r, n, seed ^ 0x7777);
+            let mut fast = Matrix::zeros(m, n);
+            let mut naive = Matrix::zeros(m, n);
+            kernels::matmul_tn_into(&a, &c, &mut fast);
+            oracle::matmul_tn_reference(&a, &c, &mut naive);
+            prop_assert_eq!(bits(&fast), bits(&naive));
         }
 
         /// Simd `a · bᵀ` lane-splits its accumulators (the documented
         /// exactness trade): deterministic (two runs bit-identical) and
-        /// numerically tight against the blocked kernel.
+        /// numerically tight against the exact `Blocked` kernel.
         #[test]
         fn simd_matmul_nt_is_deterministic_and_close_to_blocked(
             m in 1usize..9, k in 1usize..70, n in 1usize..40,
@@ -1817,13 +1657,10 @@ mod tests {
             let mut simd = Matrix::zeros(m, n);
             let mut again = Matrix::zeros(m, n);
             let mut blocked = Matrix::zeros(m, n);
-            kernels::matmul_nt_simd(&a, &b, &mut simd);
-            kernels::matmul_nt_simd(&a, &b, &mut again);
-            kernels::matmul_nt_blocked(&a, &b, &mut blocked);
-            prop_assert_eq!(
-                simd.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                again.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            kernels::matmul_nt_into(KernelMode::Simd, &a, &b, &mut simd);
+            kernels::matmul_nt_into(KernelMode::Simd, &a, &b, &mut again);
+            kernels::matmul_nt_into(KernelMode::Blocked, &a, &b, &mut blocked);
+            prop_assert_eq!(bits(&simd), bits(&again));
             for (s, r) in simd.data.iter().zip(&blocked.data) {
                 prop_assert!((s - r).abs() <= 1e-4 * (1.0 + r.abs()), "{s} vs {r}");
             }

@@ -161,7 +161,7 @@ impl TransformerLm {
         if let Some(state) = self.lora.take() {
             let scale = state.cfg.scale();
             for ad in &state.adapters {
-                let delta = ad.delta(scale, self.kernels);
+                let delta = ad.delta(scale);
                 for (w, dx) in self.params[ad.target].data.iter_mut().zip(&delta.data) {
                     *w += dx;
                 }
@@ -187,7 +187,7 @@ impl TransformerLm {
             Some(state) => match state.adapter_for(idx) {
                 Some(ad) => {
                     let mut w = base.clone();
-                    let delta = ad.delta(state.cfg.scale(), self.kernels);
+                    let delta = ad.delta(state.cfg.scale());
                     for (x, d) in w.data.iter_mut().zip(&delta.data) {
                         *x += d;
                     }
@@ -295,6 +295,14 @@ impl TransformerLm {
         (logits, trainables)
     }
 
+    /// Tokens of `ex` a training step runs on: its ids truncated to
+    /// `max_seq`, or `None` when no code target falls inside that window
+    /// (the step skips the example).
+    pub fn trained_len(&self, ex: &TrainExample) -> Option<usize> {
+        let len = ex.ids.len().min(self.cfg.max_seq);
+        (len >= 2 && ex.code_start < len).then_some(len)
+    }
+
     /// Loss for one example (graph-building path; used by both training and
     /// [`TransformerLm::nll`]).
     fn example_loss(
@@ -302,10 +310,7 @@ impl TransformerLm {
         g: &mut Graph,
         ex: &TrainExample,
     ) -> Option<(TensorId, Vec<(TrainKey, TensorId)>)> {
-        let len = ex.ids.len().min(self.cfg.max_seq);
-        if len < 2 || ex.code_start >= len {
-            return None;
-        }
+        let len = self.trained_len(ex)?;
         let (logits, trainables) = self.forward(g, &ex.ids[..len]);
         // Row i predicts ids[i+1]; rows 0..len-1 participate, weighted so
         // only code-region targets count.

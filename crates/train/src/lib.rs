@@ -64,11 +64,12 @@ pub struct TrainConfig {
     /// byte-identical at any value — see `train_step_with`.
     pub threads: usize,
     /// Kernel family for every forward/backward pass of the run
-    /// (`--kernel` on the CLI). `Blocked` is the default; `Simd` is
-    /// deterministic but trades bit-parity on the attention-backward dot
-    /// products for vectorization;
-    /// `QuantizedInt8` trains like `Simd` (weights are only quantized on
-    /// the decode path, never during training).
+    /// (`--kernel` on the CLI). `Blocked` is the default and is
+    /// bit-identical to the naive kernels; `Simd` is deterministic but
+    /// trades bit-parity in `a · bᵀ`, the layer-norm/softmax sums and
+    /// exp/tanh for lane-split arithmetic; `QuantizedInt8` trains like
+    /// `Simd` (weights are only quantized on the decode path, never
+    /// during training).
     pub kernel: KernelMode,
 }
 

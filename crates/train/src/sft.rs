@@ -127,7 +127,7 @@ pub(crate) fn run_phase_with_order(
                 }
                 last = loss;
                 steps += 1;
-                tokens += batch.iter().map(|ex| ex.ids.len() as u64).sum::<u64>();
+                tokens += trained_tokens(lm, batch);
             }
         }
     }
@@ -154,6 +154,12 @@ pub(crate) fn run_phase_with_order(
         first_loss: first.unwrap_or(0.0),
         last_loss: last,
     });
+}
+
+/// Tokens one step trained on: each example that produced a loss counts
+/// its ids up to `max_seq` (the forward truncates the rest).
+fn trained_tokens(lm: &TransformerLm, batch: &[TrainExample]) -> u64 {
+    batch.iter().filter_map(|ex| lm.trained_len(ex)).map(|len| len as u64).sum()
 }
 
 #[cfg(test)]
@@ -199,6 +205,25 @@ mod tests {
         let p = &report.phases[0];
         assert!(p.last_loss < p.first_loss, "{} -> {}", p.first_loss, p.last_loss);
         assert!(!lm.has_lora(), "adapters merged after the run");
+    }
+
+    #[test]
+    fn trained_tokens_count_only_what_the_step_trains_on() {
+        let mut lm = tiny_model(64);
+        let example = |len: usize, code_start: usize| TrainExample {
+            ids: (0..len).map(|i| i % 64).collect(),
+            code_start,
+            weight: 1.0,
+        };
+        let normal = example(40, 10);
+        // Longer than max_seq (160): the forward sees only the first 160.
+        let over_long = example(300, 10);
+        // The code starts past the last token, so there is no target.
+        let skipped = example(30, 30);
+        let mut opt = Adam::new(lm.trainable_count(), 1e-3);
+        assert!(lm.train_step(std::slice::from_ref(&skipped), &mut opt).is_none());
+        assert!(lm.train_step(std::slice::from_ref(&over_long), &mut opt).is_some());
+        assert_eq!(trained_tokens(&lm, &[normal, over_long, skipped]), 40 + 160);
     }
 
     #[test]

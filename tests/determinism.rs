@@ -262,6 +262,31 @@ fn batched_sft_training_is_identical_at_any_thread_count() {
 }
 
 #[test]
+fn blocked_training_bits_are_pinned() {
+    // The default kernel family at production shapes: the codeLlama-7B
+    // analogue (d_model 80, head 20, d_ff 160) reaches the wide register
+    // tiles, the column tails and the vocab-wide contractions that the
+    // d_model-16 models above never do. The digest covers every step's
+    // loss and the final weights (f32 `Debug` output round-trips exactly).
+    use pyranet::model::Adam;
+    use pyranet_exec::Fnv64;
+
+    let pool = CorpusBuilder::new(14).scraped_files(150).llm_generation(false).build();
+    let ds = Pipeline::new().run(pool.samples).dataset;
+    let tk = pyranet::train::build_tokenizer(ds.iter());
+    let examples = pyranet::train::to_examples(ds.iter().take(12), &tk, 1.0);
+    let mut lm = TransformerLm::new(ModelConfig::codellama_7b(), tk.vocab_size());
+    let mut opt = Adam::new(lm.trainable_count(), lm.cfg.learning_rate);
+    let mut digest = Fnv64::new();
+    for batch in examples.chunks(4) {
+        let loss = lm.train_step(batch, &mut opt).expect("batch has a supervised example");
+        digest.write(&loss.to_bits().to_le_bytes());
+    }
+    digest.write(format!("{lm:?}").as_bytes());
+    assert_eq!(format!("{:016x}", digest.finish()), "a9c1e8de9d7a8430");
+}
+
+#[test]
 fn simd_kernel_eval_is_byte_identical_to_blocked() {
     // The acceptance pin for the vectorized kernel family: a `simd`
     // session decodes through the order-preserving forward matmul plus
